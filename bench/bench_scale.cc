@@ -199,10 +199,7 @@ int ChildMain(const std::string& sctx_path, int threads, int left_shards,
   config.keep_graph = false;  // the streaming external matcher is the point
   if (spill_run_bytes > 0) config.spill_run_bytes = spill_run_bytes;
 
-  SctxReadOptions read_options;
-  read_options.build_trees = true;  // LSH candidates query the window trees
-  read_options.threads = threads;
-  auto context = ReadSctx(sctx_path, read_options);
+  auto context = ReadSctx(sctx_path);
   SLIM_CHECK_MSG(context.ok(), context.status().ToString().c_str());
 
   const SlimLinker linker(config);

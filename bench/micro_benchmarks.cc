@@ -1,6 +1,6 @@
 // google-benchmark micro suites for the performance-critical primitives:
-// spatial cells, window-tree queries, bin pairing, the SIMD score kernels,
-// similarity scoring, LSH index construction, matching, and the GMM fit.
+// spatial cells, bin pairing, the SIMD score kernels, context building,
+// similarity scoring, LSH candidate generation, matching, and the GMM fit.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -41,41 +41,6 @@ void BM_CellMinDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CellMinDistance);
-
-// ----------------------------------------------------------- temporal ----
-
-WindowSegmentTree MakeTree(int windows, int cells_per_window, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<WindowedCellCount> entries;
-  for (int w = 0; w < windows; ++w) {
-    for (int c = 0; c < cells_per_window; ++c) {
-      entries.push_back({w,
-                         CellId::FromIndices(14, 8000 + rng.NextUint64(64),
-                                             8000 + rng.NextUint64(64)),
-                         static_cast<uint32_t>(1 + rng.NextUint64(4))});
-    }
-  }
-  return WindowSegmentTree::Build(std::move(entries));
-}
-
-void BM_WindowTreeBuild(benchmark::State& state) {
-  const int windows = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MakeTree(windows, 3, 3));
-  }
-  state.SetItemsProcessed(state.iterations() * windows * 3);
-}
-BENCHMARK(BM_WindowTreeBuild)->Arg(64)->Arg(512)->Arg(4096);
-
-void BM_DominatingCellQuery(benchmark::State& state) {
-  const WindowSegmentTree tree = MakeTree(2048, 3, 4);
-  Rng rng(5);
-  for (auto _ : state) {
-    const int64_t lo = rng.NextInt64(0, 2000);
-    benchmark::DoNotOptimize(tree.DominatingCell(lo, lo + 48, 10));
-  }
-}
-BENCHMARK(BM_DominatingCellQuery);
 
 // ------------------------------------------------------- score kernel ----
 
@@ -220,16 +185,16 @@ LocationDataset BenchCab(int taxis) {
   return GenerateCabDataset(opt);
 }
 
-void BM_HistoryBuild(benchmark::State& state) {
+void BM_ContextBuild(benchmark::State& state) {
   const LocationDataset ds = BenchCab(static_cast<int>(state.range(0)));
   HistoryConfig hc;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(HistorySet::Build(ds, hc));
+    benchmark::DoNotOptimize(LinkageContext::Build(ds, ds, hc));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ds.num_records()));
 }
-BENCHMARK(BM_HistoryBuild)->Arg(8)->Arg(32);
+BENCHMARK(BM_ContextBuild)->Arg(8)->Arg(32);
 
 void BM_SimilarityScorePair(benchmark::State& state) {
   const LocationDataset ds = BenchCab(16);
@@ -261,31 +226,21 @@ BENCHMARK(BM_MnnPairing)->Arg(4)->Arg(16)->Arg(64);
 
 // ----------------------------------------------------------------- lsh ----
 
-void BM_LshIndexBuild(benchmark::State& state) {
+// Signatures from the CSR store plus banding and candidate gathering.
+void BM_LshCandidates(benchmark::State& state) {
   const LocationDataset ds = BenchCab(static_cast<int>(state.range(0)));
   HistoryConfig hc;
   hc.spatial_level = 16;
-  const HistorySet set = HistorySet::Build(ds, hc);
-  std::vector<LshIndex::Entry> entries;
-  for (const auto& h : set.histories()) {
-    entries.push_back({h.entity(), &h.tree()});
-  }
+  const LinkageContext ctx = LinkageContext::Build(ds, ds, hc);
   LshConfig lc;
   lc.signature_spatial_level = 12;
   lc.temporal_step_windows = 8;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(LshIndex::Build(entries, entries, lc));
+    benchmark::DoNotOptimize(MakeCandidateGenerator(
+        CandidateKind::kLsh, ctx, lc, GridBlockingConfig{}));
   }
 }
-BENCHMARK(BM_LshIndexBuild)->Arg(16)->Arg(64);
-
-void BM_SignatureBuild(benchmark::State& state) {
-  const WindowSegmentTree tree = MakeTree(2048, 3, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildSignature(tree, 0, 2048, 48, 10));
-  }
-}
-BENCHMARK(BM_SignatureBuild);
+BENCHMARK(BM_LshCandidates)->Arg(16)->Arg(64);
 
 // ------------------------------------------------------------- match ----
 

@@ -71,24 +71,26 @@ int main() {
               return a.margin > b.margin;
             });
 
-  // Identifying-signal analysis: the rarest bins of the top exposures.
-  const slim::HistoryConfig hc = config.history;
-  const slim::HistorySet histories = slim::HistorySet::Build(sample->a, hc);
+  // Identifying-signal analysis: the rarest bins of the top exposures,
+  // by idf over the released dataset alone.
+  const slim::LinkageContext released_ctx =
+      slim::LinkageContext::Build(sample->a, sample->a, config.history);
+  const slim::HistoryStore& histories = released_ctx.store_e;
   std::printf("\nmost exposed released entities:\n");
   std::printf("  %-8s %-10s %-10s %s\n", "entity", "score", "margin",
               "rarest visited bin (idf)");
   const size_t top = std::min<size_t>(exposures.size(), 8);
   for (size_t k = 0; k < top; ++k) {
     const auto& ex = exposures[k];
-    const slim::MobilityHistory* h = histories.Find(ex.entity);
     double max_idf = 0.0;
     slim::TimeLocationBin rarest;
-    if (h != nullptr) {
-      for (const auto& bin : h->bins()) {
-        const double idf = histories.Idf(bin.window, bin.cell);
+    if (const auto u = histories.IndexOf(ex.entity); u.has_value()) {
+      for (const slim::BinId bin : histories.bins(*u)) {
+        const double idf = histories.idf(bin);
         if (idf > max_idf) {
           max_idf = idf;
-          rarest = bin;
+          rarest.window = released_ctx.vocab.window(bin);
+          rarest.cell = released_ctx.vocab.cell(bin);
         }
       }
     }

@@ -60,42 +60,63 @@ class BruteForceCandidates final : public CandidateGenerator {
   std::vector<EntityIdx> shard_right_;
 };
 
+// Index entries for entities [begin, end) of `store`, their signatures
+// computed in parallel into pre-sized slots (entity order is fixed, so the
+// entries never depend on scheduling).
+std::vector<LshIndex::Entry> SignatureEntries(
+    const HistoryStore& store, const BinVocabulary& vocab, EntityIdx begin,
+    EntityIdx end, const LshWindowSpan& span, const LshConfig& config,
+    int threads) {
+  std::vector<LshIndex::Entry> entries(end - begin);
+  ParallelFor(
+      entries.size(),
+      [&](size_t lo, size_t hi, int) {
+        for (size_t k = lo; k < hi; ++k) {
+          const EntityIdx u = begin + static_cast<EntityIdx>(k);
+          entries[k].entity = store.entity_id(u);
+          entries[k].signature =
+              BuildSignature(store, vocab, u, span,
+                             config.temporal_step_windows,
+                             config.signature_spatial_level);
+        }
+      },
+      threads);
+  return entries;
+}
+
 class LshCandidates final : public CandidateGenerator {
  public:
   LshCandidates(const LinkageContext& ctx, const LshConfig& config,
                 EntityIdx left_begin, EntityIdx left_end,
                 EntityIdx right_begin, EntityIdx right_end, int threads)
       : left_begin_(left_begin) {
-    std::vector<LshIndex::Entry> left, right;
-    left.reserve(left_end - left_begin);
-    right.reserve(right_end - right_begin);
-    for (EntityIdx u = left_begin; u < left_end; ++u) {
-      left.push_back({ctx.store_e.entity_id(u), &ctx.store_e.tree(u)});
-    }
-    for (EntityIdx v = right_begin; v < right_end; ++v) {
-      right.push_back({ctx.store_i.entity_id(v), &ctx.store_i.tree(v)});
-    }
     // The grid is pinned to the full problem's span, so a block build's
     // band hashes — and therefore its collisions — are exactly the full
     // build's restricted to the block: a collision is a pairwise predicate
     // over one left and one right signature, and neither signature depends
     // on which other entities were indexed alongside it.
     const LshWindowSpan span = GlobalWindowSpan(ctx);
-    const LshIndex index = LshIndex::Build(left, right, config, threads, &span);
+    const size_t lefts = left_end - left_begin;
+    const LshIndex index = LshIndex::Build(
+        SignatureEntries(ctx.store_e, ctx.vocab, left_begin, left_end, span,
+                         config, threads),
+        SignatureEntries(ctx.store_i, ctx.vocab, right_begin, right_end, span,
+                         config, threads),
+        config, threads);
     total_candidate_pairs_ = index.total_candidate_pairs();
 
     // Re-key subset positions to global right EntityIdx and drop the index:
     // signatures and bucket tables are construction scaffolding here, and
     // freeing them keeps only the candidate lists resident.
     static_assert(std::is_same_v<EntityIdx, uint32_t>);
-    csr_.offsets.assign(left.size() + 1, 0);
-    for (size_t k = 0; k < left.size(); ++k) {
+    csr_.offsets.assign(lefts + 1, 0);
+    for (size_t k = 0; k < lefts; ++k) {
       csr_.offsets[k + 1] =
           csr_.offsets[k] + index.CandidatePositionsAt(k).size();
     }
     csr_.flat.resize(csr_.offsets.back());
     size_t pos = 0;
-    for (size_t k = 0; k < left.size(); ++k) {
+    for (size_t k = 0; k < lefts; ++k) {
       for (const uint32_t p : index.CandidatePositionsAt(k)) {
         csr_.flat[pos++] = p + right_begin;
       }
@@ -203,9 +224,7 @@ class GridBlockingCandidates final : public CandidateGenerator {
 LshWindowSpan GlobalWindowSpan(const LinkageContext& ctx) {
   int64_t lo = std::numeric_limits<int64_t>::max();
   int64_t hi = std::numeric_limits<int64_t>::min();
-  // Each entity's sorted window list bounds its occupancy exactly as its
-  // tree's min/max do — reading the CSR keeps this usable on SCTX-loaded
-  // contexts that skipped the tree rebuild.
+  // Each entity's window list is sorted, so its ends bound its occupancy.
   auto widen = [&](const HistoryStore& store) {
     for (EntityIdx k = 0; k < store.size(); ++k) {
       const std::span<const int64_t> windows = store.windows(k);
@@ -218,6 +237,55 @@ LshWindowSpan GlobalWindowSpan(const LinkageContext& ctx) {
   widen(ctx.store_i);
   if (lo > hi) return {0, 0};
   return {lo, hi + 1};
+}
+
+LshSignature BuildSignature(const HistoryStore& store,
+                            const BinVocabulary& vocab, EntityIdx u,
+                            const LshWindowSpan& span, int step_windows,
+                            int spatial_level) {
+  SLIM_CHECK_MSG(step_windows > 0, "temporal step must be positive");
+  LshSignature sig;
+  if (span.empty()) return sig;
+  const int64_t step = step_windows;
+  sig.cells.assign(static_cast<size_t>((span.end - span.lo + step - 1) / step),
+                   kSignaturePlaceholder);
+  const std::span<const int64_t> windows = store.windows(u);
+  const FlatArray<BinId>& bin_ids = store.bin_ids();
+  const FlatArray<uint32_t>& bin_counts = store.bin_counts();
+  // (lifted cell, count) of the current step's bins; summed per cell after
+  // a sort, so the argmax sees cells in ascending CellId order.
+  std::vector<std::pair<CellId, uint32_t>> lifted;
+  size_t k = 0;
+  while (k < windows.size()) {
+    SLIM_CHECK_MSG(windows[k] >= span.lo && windows[k] < span.end,
+                   "window outside the signature query grid");
+    const int64_t q = (windows[k] - span.lo) / step;
+    lifted.clear();
+    for (; k < windows.size() && (windows[k] - span.lo) / step == q; ++k) {
+      const auto [begin, end] = store.WindowBinRange(u, k);
+      for (uint32_t p = begin; p < end; ++p) {
+        lifted.emplace_back(vocab.cell(bin_ids[p]).Parent(spatial_level),
+                            bin_counts[p]);
+      }
+    }
+    std::sort(lifted.begin(), lifted.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    CellId best;
+    uint32_t best_count = 0;
+    for (size_t i = 0; i < lifted.size();) {
+      const CellId cell = lifted[i].first;
+      uint32_t count = 0;
+      for (; i < lifted.size() && lifted[i].first == cell; ++i) {
+        count += lifted[i].second;
+      }
+      if (count > best_count) {  // strict: ties keep the smaller cell
+        best = cell;
+        best_count = count;
+      }
+    }
+    if (best_count > 0) sig.cells[static_cast<size_t>(q)] = best.raw();
+  }
+  return sig;
 }
 
 std::string_view CandidateKindName(CandidateKind kind) {

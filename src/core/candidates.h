@@ -84,6 +84,21 @@ class CandidateGenerator {
 /// decide whether cached LSH signatures are still valid.
 LshWindowSpan GlobalWindowSpan(const LinkageContext& ctx);
 
+/// The LSH signature (lsh/signature.h) of entity `u` of `store` over the
+/// query grid `span`, cut into steps of `step_windows` leaf windows (the
+/// last step may be partial). Position q holds the dominating cell of step
+/// q: every bin of the step has its cell lifted to `spatial_level` (which
+/// must not exceed the store's leaf level) and its record count summed per
+/// lifted cell; the highest sum wins, ties going to the smaller CellId.
+/// Steps without records hold kSignaturePlaceholder. One in-order pass over
+/// windows(u), so the cost is linear in u's bins; `span` must cover every
+/// occupied window of u (GlobalWindowSpan does). An empty span yields an
+/// empty signature.
+LshSignature BuildSignature(const HistoryStore& store,
+                            const BinVocabulary& vocab, EntityIdx u,
+                            const LshWindowSpan& span, int step_windows,
+                            int spatial_level);
+
 /// Builds the candidate index of `kind` over the context. `lsh_config` is
 /// consulted only by kLsh, `grid_config` only by kGrid. Construction is
 /// data-parallel over `threads` workers and identical at every thread

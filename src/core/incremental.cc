@@ -51,15 +51,6 @@ std::vector<uint8_t> DirtyFlags(const HistoryStore& store,
   return flags;
 }
 
-std::vector<LshIndex::Entry> IndexEntries(const HistoryStore& store) {
-  std::vector<LshIndex::Entry> entries;
-  entries.reserve(store.size());
-  for (EntityIdx k = 0; k < store.size(); ++k) {
-    entries.push_back({store.entity_id(k), &store.tree(k)});
-  }
-  return entries;
-}
-
 }  // namespace
 
 IncrementalLinker::IncrementalLinker(SlimConfig config)
@@ -167,27 +158,52 @@ Result<EpochResult> IncrementalLinker::LinkEpoch() {
   t0 = std::chrono::steady_clock::now();
   std::unique_ptr<CandidateGenerator> generator;
   if (config_.candidates == CandidateKind::kLsh) {
+    // A signature is a pure function of the entity's bins and the query
+    // grid, so while the grid holds still an un-appended entity carries
+    // its previous signature over (bit-identical to a recomputation).
     const LshWindowSpan span = GlobalWindowSpan(ctx_);
-    const std::vector<LshIndex::Entry> entries_e = IndexEntries(ctx_.store_e);
-    const std::vector<LshIndex::Entry> entries_i = IndexEntries(ctx_.store_i);
-    const bool span_unchanged = lsh_.has_value() &&
-                                lsh_->span().lo == span.lo &&
-                                lsh_->span().end == span.end;
-    if (span_unchanged) {
-      const std::vector<uint8_t> fresh_e = DirtyFlags(ctx_.store_e, dirty_e_);
-      const std::vector<uint8_t> fresh_i = DirtyFlags(ctx_.store_i, dirty_i_);
-      for (const uint8_t f : fresh_e) {
-        out.incremental.signatures_reused += f == 0 ? 1 : 0;
+    const bool reuse = lsh_.has_value() && lsh_span_ == span;
+    const auto side_entries = [&](const HistoryStore& store,
+                                  const std::set<EntityId>& dirty,
+                                  bool left) {
+      const std::vector<uint8_t> fresh = DirtyFlags(store, dirty);
+      std::vector<LshIndex::Entry> entries(store.size());
+      ParallelFor(
+          entries.size(),
+          [&](size_t begin, size_t end, int) {
+            for (size_t k = begin; k < end; ++k) {
+              const EntityIdx u = static_cast<EntityIdx>(k);
+              entries[k].entity = store.entity_id(u);
+              if (reuse && fresh[k] == 0) {
+                const LshSignature* prev =
+                    left ? lsh_->LeftSignature(entries[k].entity)
+                         : lsh_->RightSignature(entries[k].entity);
+                if (prev != nullptr) {
+                  entries[k].signature = *prev;
+                  continue;
+                }
+              }
+              entries[k].signature = BuildSignature(
+                  store, ctx_.vocab, u, span,
+                  config_.lsh.temporal_step_windows,
+                  config_.lsh.signature_spatial_level);
+            }
+          },
+          threads);
+      if (reuse) {
+        for (const uint8_t f : fresh) {
+          out.incremental.signatures_reused += f == 0 ? 1 : 0;
+        }
       }
-      for (const uint8_t f : fresh_i) {
-        out.incremental.signatures_reused += f == 0 ? 1 : 0;
-      }
-      lsh_ = LshIndex::BuildReusing(*lsh_, entries_e, entries_i, fresh_e,
-                                    fresh_i, config_.lsh, threads, &span);
-    } else {
-      lsh_ = LshIndex::Build(entries_e, entries_i, config_.lsh, threads,
-                             &span);
-    }
+      return entries;
+    };
+    std::vector<LshIndex::Entry> entries_e =
+        side_entries(ctx_.store_e, dirty_e_, true);
+    std::vector<LshIndex::Entry> entries_i =
+        side_entries(ctx_.store_i, dirty_i_, false);
+    lsh_ = LshIndex::Build(std::move(entries_e), std::move(entries_i),
+                           config_.lsh, threads);
+    lsh_span_ = span;
     generator = std::make_unique<LshIndexCandidates>(*lsh_);
   } else {
     generator = MakeCandidateGenerator(config_.candidates, ctx_, config_.lsh,

@@ -25,10 +25,10 @@
 //     Any structural growth marks the whole cache stale
 //     (LinkageContext::AppendSummary).
 //   * LSH signature reuse. A signature is a pure function of the
-//     entity's window tree and the query grid, so signatures of
-//     un-appended entities carry over even through epochs that re-score
-//     everything — unless the global window span moved, which rebuilds
-//     the index from scratch. Banding and candidate gathering always
+//     entity's bins and the query grid (core/candidates.h), so signatures
+//     of un-appended entities carry over even through epochs that
+//     re-score everything — unless the global window span moved, which
+//     recomputes every signature. Banding and candidate gathering always
 //     re-run; they are cheap and deterministic.
 //
 // One asterisk: LinkageResult::stats covers only the pairs actually
@@ -134,9 +134,11 @@ class IncrementalLinker {
   uint64_t pending_records_e_ = 0, pending_records_i_ = 0;
   uint64_t total_records_e_ = 0, total_records_i_ = 0;
 
-  // Carried across epochs: the LSH index (signature donor), the score
-  // rows sorted by left EntityId, and the last epoch's links.
+  // Carried across epochs: the LSH index (signature donor) with the query
+  // grid its signatures were computed over, the score rows sorted by left
+  // EntityId, and the last epoch's links.
   std::optional<LshIndex> lsh_;
+  LshWindowSpan lsh_span_;
   std::vector<std::pair<EntityId, ScoreRow>> rows_;
   std::vector<LinkedEntityPair> links_;
 };

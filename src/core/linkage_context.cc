@@ -14,7 +14,6 @@ namespace {
 // One side's per-entity binning product, before interning.
 struct SideBins {
   std::vector<std::vector<TimeLocationBin>> bins;  // per entity, sorted
-  std::vector<WindowSegmentTree> trees;
   std::vector<uint64_t> total_records;
 };
 
@@ -26,8 +25,8 @@ class HistoryStoreBuilder {
   static void Fill(const LocationDataset& dataset, const BinVocabulary& vocab,
                    SideBins&& side, int threads, HistoryStore* store);
   // Shared CSR construction from per-entity ascending (BinId, count)
-  // lists: fills every flat array of `store` except entity_ids_, trees_,
-  // and total_records_ (the caller owns those). Both the batch build and
+  // lists: fills every flat array of `store` except entity_ids_ and
+  // total_records_ (the caller owns those). Both the batch build and
   // HistoryStore::Compact funnel through here, so an append-then-compact
   // store is field-for-field the batch store over the merged records.
   static void BuildCsr(
@@ -43,7 +42,6 @@ SideBins BinSide(const LocationDataset& dataset, const HistoryConfig& config,
   const std::vector<EntityId>& ids = dataset.entity_ids();
   SideBins side;
   side.bins.resize(ids.size());
-  side.trees.resize(ids.size());
   side.total_records.resize(ids.size());
   ParallelFor(
       ids.size(),
@@ -52,12 +50,6 @@ SideBins BinSide(const LocationDataset& dataset, const HistoryConfig& config,
           const auto records = dataset.RecordsOf(ids[k]);
           side.bins[k] = GroupRecordsIntoBins(records, config);
           side.total_records[k] = records.size();
-          std::vector<WindowedCellCount> entries;
-          entries.reserve(side.bins[k].size());
-          for (const TimeLocationBin& bin : side.bins[k]) {
-            entries.push_back({bin.window, bin.cell, bin.record_count});
-          }
-          side.trees[k] = WindowSegmentTree::Build(std::move(entries));
         }
       },
       threads);
@@ -73,7 +65,6 @@ void HistoryStoreBuilder::Fill(const LocationDataset& dataset,
                                int threads, HistoryStore* store) {
   const size_t n = dataset.entity_ids().size();
   store->entity_ids_ = dataset.entity_ids();
-  store->trees_ = std::move(side.trees);
   store->total_records_ = std::move(side.total_records);
 
   // Intern each entity's (window, cell)-sorted bins into an ascending
@@ -366,8 +357,6 @@ void HistoryStore::Compact(const BinVocabulary& vocab,
   // GroupRecordsIntoBins over the union of the entity's records produces
   // (per-(window, cell) record counting is a commutative fold).
   std::vector<std::vector<std::pair<BinId, uint32_t>>> entities(n);
-  const bool build_trees = has_trees();
-  std::vector<WindowSegmentTree> trees(build_trees ? n : 0);
   std::vector<uint64_t> total_records(n, 0);
   ParallelFor(
       n,
@@ -379,15 +368,13 @@ void HistoryStore::Compact(const BinVocabulary& vocab,
           auto& out = entities[k];
           if (pit == pending_.end()) {
             // Untouched entity: renumber the existing span (stays
-            // ascending — the base remap is strictly increasing) and move
-            // its tree over.
+            // ascending — the base remap is strictly increasing).
             const auto base_bins = bins(*old_idx);
             const auto base_counts = counts(*old_idx);
             out.reserve(base_bins.size());
             for (size_t i = 0; i < base_bins.size(); ++i) {
               out.emplace_back(remap[base_bins[i]], base_counts[i]);
             }
-            if (build_trees) trees[k] = std::move(trees_[*old_idx]);
             total_records[k] = total_records_[*old_idx];
             continue;
           }
@@ -436,20 +423,11 @@ void HistoryStore::Compact(const BinVocabulary& vocab,
             out = std::move(delta);
             total_records[k] = pit->second.records;
           }
-          if (build_trees) {
-            std::vector<WindowedCellCount> entries;
-            entries.reserve(out.size());
-            for (const auto& [b, c] : out) {
-              entries.push_back({vocab.window(b), vocab.cell(b), c});
-            }
-            trees[k] = WindowSegmentTree::Build(std::move(entries));
-          }
         }
       },
       threads);
 
   entity_ids_ = std::move(merged_ids);
-  trees_ = std::move(trees);
   total_records_ = std::move(total_records);
   pending_.clear();
   HistoryStoreBuilder::BuildCsr(vocab, entities, threads, this);

@@ -1,9 +1,6 @@
-// Dense interned representation of a linkage problem.
-//
-// The sparse per-entity structures (core/history.h) are convenient for
-// construction and diagnostics, but the scoring and candidate-filtering hot
-// paths should never pay hash-map costs per lookup. This header provides
-// the dense core the pipeline runs on:
+// Dense interned representation of a linkage problem — the one history
+// representation the pipeline runs on. The scoring and candidate-filtering
+// hot paths never pay hash-map costs per lookup:
 //
 //   BinVocabulary  — interns every (window, cell) time-location bin that
 //                    occurs in EITHER dataset into a contiguous BinId, so
@@ -11,25 +8,24 @@
 //                    across both sides.
 //   HistoryStore   — one dataset's histories in a CSR-style flat layout:
 //                    per-entity offset spans over BinId/count arrays, a
-//                    parallel window index, IDF as a flat array indexed by
-//                    BinId, and the per-entity window segment trees the LSH
-//                    layer queries. Entities are addressed by dense
-//                    EntityIdx (their rank in the sorted entity-id list).
+//                    parallel window index (from which core/candidates.h
+//                    computes the LSH signatures in one in-order pass), and
+//                    IDF as a flat array indexed by BinId. Entities are
+//                    addressed by dense EntityIdx (their rank in the sorted
+//                    entity-id list).
 //   LinkageContext — the vocabulary plus the two stores; the input to the
 //                    similarity engine and every CandidateGenerator.
 //
 // Construction is data-parallel over entities and deterministic: BinIds
 // are assigned in (window, cell) order, so a history's bin span is sorted
-// by BinId exactly as the sparse MobilityHistory sorts its bins.
+// by BinId exactly as GroupRecordsIntoBins (core/history.h) sorts its
+// bins.
 //
 // Every flat array lives in a FlatArray<T> (common/flat_array.h): the
 // build path owns plain vectors, while a context loaded from an SCTX file
 // (core/sctx.h) views the mapped bytes read-only — the scoring and
-// candidate layers read either backing transparently. The one structure a
-// mapped context cannot view is the per-entity WindowSegmentTree heap; the
-// SCTX reader rebuilds the trees deterministically from the CSR arrays (or
-// skips them when the run's candidate generator never queries them — see
-// has_trees()).
+// candidate layers read either backing transparently, and a mapped context
+// holds no per-entity heap structure at all.
 #ifndef SLIM_CORE_LINKAGE_CONTEXT_H_
 #define SLIM_CORE_LINKAGE_CONTEXT_H_
 
@@ -41,12 +37,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/flat_array.h"
 #include "core/history.h"
 #include "data/dataset.h"
 #include "geo/cell_id.h"
-#include "temporal/window_tree.h"
 
 namespace slim {
 
@@ -180,18 +174,6 @@ class HistoryStore {
   /// The normalisation L(u) = (1 - b) + b * |H_u| / avg|H| of Eq. 2.
   double LengthNorm(EntityIdx u, double b) const;
 
-  /// Whether the per-entity window trees exist. True for every built
-  /// context; false only for an SCTX-loaded context that skipped the
-  /// rebuild (ReadSctx with build_trees = false) — such a context serves
-  /// every generator except LSH.
-  bool has_trees() const { return trees_.size() == entity_ids_.size(); }
-  /// Entity u's hierarchical window aggregation (LSH dominating-cell
-  /// queries). Requires has_trees().
-  const WindowSegmentTree& tree(EntityIdx u) const {
-    SLIM_CHECK_MSG(u < trees_.size(),
-                   "window trees unavailable (SCTX loaded without trees)");
-    return trees_[u];
-  }
   /// Total records of entity u.
   uint64_t total_records(EntityIdx u) const { return total_records_[u]; }
 
@@ -212,10 +194,8 @@ class HistoryStore {
   /// the CSR layout, window index, fingerprints, per-bin statistics, and
   /// IDF over the merged histories — the same shared CSR builder the
   /// batch path uses, so the result is field-for-field the store a batch
-  /// build over the union of records produces. Window trees move over for
-  /// untouched entities and are rebuilt for appended ones; a store loaded
-  /// without trees (ReadSctx with build_trees = false) stays without
-  /// them. A mapped (SCTX-backed) store migrates to owned heap arrays.
+  /// build over the union of records produces. A mapped (SCTX-backed)
+  /// store migrates to owned heap arrays.
   /// Deterministic at every `threads`.
   void Compact(const BinVocabulary& vocab, std::span<const BinId> remap,
                int threads = 0);
@@ -241,8 +221,6 @@ class HistoryStore {
   // Flat per-BinId statistics (size = vocabulary size).
   FlatArray<uint32_t> bin_entity_counts_;
   FlatArray<double> idf_;
-  // Heap-only: rebuilt (not mapped) on SCTX load; empty when skipped.
-  std::vector<WindowSegmentTree> trees_;
   FlatArray<uint64_t> total_records_;
   double avg_bins_ = 0.0;
   // Appends buffered since the last Compact(), keyed by entity id so
@@ -270,10 +248,10 @@ struct LinkageContext {
   /// stay valid for the lifetime of every copy. Null for built contexts.
   std::shared_ptr<const void> backing;
 
-  /// Builds the context from two finalized datasets. Per-entity binning and
-  /// tree construction are data-parallel over `threads` workers (<= 0 means
-  /// the library default); vocabulary assignment and the dataset statistics
-  /// are order-fixed merges, so the context is identical at every thread
+  /// Builds the context from two finalized datasets. Per-entity binning is
+  /// data-parallel over `threads` workers (<= 0 means the library
+  /// default); vocabulary assignment and the dataset statistics are
+  /// order-fixed merges, so the context is identical at every thread
   /// count.
   static LinkageContext Build(const LocationDataset& dataset_e,
                               const LocationDataset& dataset_i,

@@ -8,8 +8,6 @@
 #include <vector>
 
 #include "common/io.h"
-#include "common/parallel.h"
-#include "temporal/window_tree.h"
 
 namespace slim {
 namespace {
@@ -185,8 +183,7 @@ class SctxIo {
     return w.Finish(path);
   }
 
-  static Result<LinkageContext> Read(const std::string& path,
-                                     const SctxReadOptions& options) {
+  static Result<LinkageContext> Read(const std::string& path) {
     auto contents = std::make_shared<FileContents>();
     if (Status s = contents->Open(path); !s.ok()) return s;
     const std::string_view view = contents->view();
@@ -227,6 +224,11 @@ class SctxIo {
     if (!c.ok || c.pos != kHeaderBytes) {
       return Status::Internal("SCTX header cursor mismatch: " + path);
     }
+    if (h.spatial_level < 0 || h.spatial_level > CellId::kMaxLevel ||
+        h.window_seconds <= 0) {
+      return Status::InvalidArgument("SCTX history resolution corrupt: " +
+                                     path);
+    }
     // The CSR offsets are 32-bit; a header that exceeds them is either
     // corrupt or from a future format.
     if (h.vocab_size > UINT32_MAX) {
@@ -255,6 +257,15 @@ class SctxIo {
     ctx.vocab.cells_ =
         FlatArray<CellId>::View(reinterpret_cast<const CellId*>(vocab_cells),
                                 vocab);
+    // The signature pass lifts every cell to a coarser level, which is
+    // only defined for valid cells at the leaf level the header declares.
+    for (size_t b = 0; b < vocab; ++b) {
+      const CellId cell = ctx.vocab.cells_[b];
+      if (!cell.IsValid() || cell.level() != h.spatial_level) {
+        return Status::InvalidArgument("SCTX vocabulary cell corrupt: " +
+                                       path);
+      }
+    }
 
     HistoryStore* stores[2] = {&ctx.store_e, &ctx.store_i};
     for (int s = 0; s < 2; ++s) {
@@ -284,11 +295,9 @@ class SctxIo {
       if (!c.ok) {
         return Status::IoError("SCTX truncated (store arrays): " + path);
       }
-      // Structural consistency: the CSR sentinels must agree with the
-      // header counts, or every span accessor would read out of range.
-      if (store.bin_offsets_[n] != tb || store.window_offsets_[n] != tw ||
-          store.window_bin_begin_[tw] != tb) {
-        return Status::InvalidArgument("SCTX CSR offsets corrupt: " + path);
+      if (const char* error = CsrError(store, vocab); error != nullptr) {
+        return Status::InvalidArgument(std::string("SCTX ") + error + ": " +
+                                       path);
       }
       // Identical to the builder's division, so avg-dependent scores match
       // bit for bit.
@@ -298,43 +307,56 @@ class SctxIo {
     if (c.pos != view.size()) {
       return Status::InvalidArgument("SCTX trailing bytes: " + path);
     }
-    if (options.build_trees) {
-      for (HistoryStore* store : stores) {
-        RebuildTrees(ctx.vocab, options.threads, store);
-      }
-    }
     return ctx;
   }
 
  private:
-  // Rebuilds the per-entity window trees from the mapped CSR + vocabulary.
-  // The entry sequence is exactly the (window, cell)-sorted bin order the
-  // original build fed WindowSegmentTree::Build, so the rebuilt trees are
-  // identical to the pre-serialisation ones.
-  static void RebuildTrees(const BinVocabulary& vocab, int threads,
-                           HistoryStore* store) {
-    const size_t n = store->size();
-    store->trees_.resize(n);
-    ParallelFor(
-        n,
-        [&](size_t begin, size_t end, int) {
-          for (size_t k = begin; k < end; ++k) {
-            const EntityIdx u = static_cast<EntityIdx>(k);
-            std::vector<WindowedCellCount> entries;
-            entries.reserve(store->num_bins(u));
-            const std::span<const int64_t> windows = store->windows(u);
-            for (size_t w = 0; w < windows.size(); ++w) {
-              const auto [b0, b1] = store->WindowBinRange(u, w);
-              for (uint32_t p = b0; p < b1; ++p) {
-                entries.push_back({windows[w],
-                                   vocab.cell(store->bin_ids_[p]),
-                                   store->bin_counts_[p]});
-              }
-            }
-            store->trees_[k] = WindowSegmentTree::Build(std::move(entries));
-          }
-        },
-        threads);
+  // Structural consistency of one mapped store: every span accessor and
+  // per-bin lookup indexes with these bytes, so a corrupt file must fail
+  // here rather than steer a read outside the mapping. The CSR offsets
+  // must start at 0, be monotone, and end at the header counts; each
+  // window's bin range must nest inside its entity's; each entity's
+  // windows must ascend strictly; every bin id must be in the vocabulary.
+  // Returns what is wrong, or nullptr.
+  static const char* CsrError(const HistoryStore& store, size_t vocab) {
+    const size_t n = store.entity_ids_.size();
+    const auto& bin_offsets = store.bin_offsets_;
+    const auto& window_offsets = store.window_offsets_;
+    const auto& window_bin_begin = store.window_bin_begin_;
+    const size_t tb = store.bin_ids_.size();
+    const size_t tw = store.windows_.size();
+    if (bin_offsets[0] != 0 || window_offsets[0] != 0 ||
+        window_bin_begin[0] != 0 || bin_offsets[n] != tb ||
+        window_offsets[n] != tw || window_bin_begin[tw] != tb) {
+      return "CSR offsets corrupt";
+    }
+    for (size_t u = 0; u < n; ++u) {
+      if (bin_offsets[u] > bin_offsets[u + 1] ||
+          window_offsets[u] > window_offsets[u + 1]) {
+        return "CSR offsets not monotone";
+      }
+    }
+    // With monotone offsets pinned to [0, tw] and [0, tb], every index
+    // below stays inside its array.
+    for (size_t u = 0; u < n; ++u) {
+      for (uint32_t w = window_offsets[u]; w < window_offsets[u + 1]; ++w) {
+        if (window_bin_begin[w] < bin_offsets[u] ||
+            window_bin_begin[w] > window_bin_begin[w + 1] ||
+            window_bin_begin[w + 1] > bin_offsets[u + 1]) {
+          return "window bin range outside its entity";
+        }
+        if (w > window_offsets[u] &&
+            store.windows_[w - 1] >= store.windows_[w]) {
+          return "windows not ascending";
+        }
+      }
+    }
+    for (size_t p = 0; p < tb; ++p) {
+      if (store.bin_ids_[p] >= vocab) {
+        return "bin id outside the vocabulary";
+      }
+    }
+    return nullptr;
   }
 };
 
@@ -343,8 +365,8 @@ Status WriteSctx(const LinkageContext& context, const std::string& path) {
 }
 
 Result<LinkageContext> ReadSctx(const std::string& path,
-                                const SctxReadOptions& options) {
-  return SctxIo::Read(path, options);
+                                const SctxReadOptions& /*options*/) {
+  return SctxIo::Read(path);
 }
 
 }  // namespace slim

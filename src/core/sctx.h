@@ -23,12 +23,12 @@
 //   array offset is derived from the header, so a corrupt header cannot
 //   index outside the mapping.
 //
-// The one heap structure SCTX does not carry is the per-entity
-// WindowSegmentTree (a pointered aggregation only the LSH signature layer
-// queries). ReadSctx rebuilds the trees deterministically from the mapped
-// CSR + vocabulary — or skips them (build_trees = false) when the run's
-// candidate generator never needs them, which is the memory-lean choice
-// for brute/grid runs.
+// The file carries the whole context: every consumer, the LSH signature
+// pass included (core/candidates.h), reads the mapped CSR arrays directly,
+// so a loaded context holds no per-entity heap structure. Because the
+// readers index with the mapped bytes, ReadSctx validates them first: CSR
+// offsets monotone and nested, bin ids inside the vocabulary, vocabulary
+// cells valid at the header's level, and a sane header resolution.
 #ifndef SLIM_CORE_SCTX_H_
 #define SLIM_CORE_SCTX_H_
 
@@ -48,17 +48,16 @@ inline constexpr uint32_t kSctxVersion = 1;
 Status WriteSctx(const LinkageContext& context, const std::string& path);
 
 struct SctxReadOptions {
-  /// Rebuild the per-entity window trees (required by the LSH candidate
-  /// generator; brute/grid runs can skip them — HistoryStore::has_trees()).
-  bool build_trees = true;
-  /// Worker threads for the tree rebuild; <= 0 means the library default.
+  /// Unused: loading maps the file and validates it, with no parallel
+  /// work. Kept so callers that set it still compile.
   int threads = 0;
 };
 
 /// Maps `path` read-only and returns a context whose flat arrays view the
 /// mapping (LinkageContext::backing keeps it alive across copies). Fails
 /// with InvalidArgument on bad magic / version skew / structural
-/// inconsistencies and IoError on unreadable or truncated files.
+/// inconsistencies (see the validation list above) and IoError on
+/// unreadable or truncated files.
 Result<LinkageContext> ReadSctx(const std::string& path,
                                 const SctxReadOptions& options = {});
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -46,6 +47,23 @@ Result<LinkageResult> RunShardedBlocks(
     const SlimConfig& config, int threads, const LinkageContext& ctx,
     uint64_t rss_before_context, std::chrono::steady_clock::time_point t_start,
     LinkageResult result) {
+  // A context built under another resolution (an SCTX file written by an
+  // earlier run, say) would silently link at that resolution. Matching it
+  // also guarantees the LSH signature level does not exceed the leaf level
+  // of the context's cells (the SlimLinker constructor checks it against
+  // config.history).
+  if (!(ctx.config == config.history)) {
+    const auto describe = [](const HistoryConfig& c) {
+      return "spatial_level " + std::to_string(c.spatial_level) +
+             ", window_seconds " + std::to_string(c.window_seconds) +
+             ", region_radius_meters " +
+             std::to_string(c.region_radius_meters);
+    };
+    return Status::InvalidArgument("linkage context was built under " +
+                                   describe(ctx.config) +
+                                   ", but the run asks for " +
+                                   describe(config.history));
+  }
   result.possible_pairs = static_cast<uint64_t>(ctx.store_e.size()) *
                           static_cast<uint64_t>(ctx.store_i.size());
   if (ctx.store_e.size() == 0 || ctx.store_i.size() == 0) {
@@ -193,7 +211,7 @@ uint64_t EstimateBlockBytesPerEntity(const LinkageContext& context,
   uint64_t per_entity = store_bytes / rights;
 
   // RSS calibration: the context build's measured growth per entity (both
-  // sides) captures allocator overhead and the tree structures the
+  // sides) captures allocator overhead and the binning scratch the
   // structural count misses. Peak RSS is monotone, so the difference is a
   // true lower bound on what the build added.
   const uint64_t rss_now = CurrentPeakRssBytes();
@@ -270,12 +288,7 @@ Result<LinkageResult> SlimLinker::LinkSharded(
           dataset_e, dataset_i, config_.history, threads);
       if (Status s = WriteSctx(built, config_.sctx_path); !s.ok()) return s;
     }
-    SctxReadOptions read_options;
-    // Only the LSH generator probes window trees; brute/grid runs skip the
-    // rebuild and keep the context fully mapped.
-    read_options.build_trees = config_.candidates == CandidateKind::kLsh;
-    read_options.threads = threads;
-    Result<LinkageContext> loaded = ReadSctx(config_.sctx_path, read_options);
+    Result<LinkageContext> loaded = ReadSctx(config_.sctx_path);
     if (!loaded.ok()) return loaded.status();
     ctx = std::move(loaded.value());
   }

@@ -206,7 +206,9 @@ class SlimLinker {
   /// are bit-identical to Link() at every (L, K, threads); peak memory of
   /// the candidate + scoring stages scales with the largest block instead
   /// of the full stores. With config().sctx_path set, the context is
-  /// serialized/mapped via core/sctx.h instead of held on the heap.
+  /// serialized/mapped via core/sctx.h instead of held on the heap; an
+  /// existing file written under another HistoryConfig fails with
+  /// InvalidArgument.
   /// Implemented in core/sharded.cc.
   Result<LinkageResult> LinkSharded(const LocationDataset& dataset_e,
                                     const LocationDataset& dataset_i) const;
@@ -214,8 +216,9 @@ class SlimLinker {
   /// LinkSharded's block + merge stages over an already-built context —
   /// e.g. one mapped from an SCTX file (core/sctx.h) so the datasets never
   /// re-intern. `context` must outlive the call; result timings report 0
-  /// for the context-build phase. When config().candidates == kLsh the
-  /// context must have its window trees (HistoryStore::has_trees).
+  /// for the context-build phase. Fails with InvalidArgument when
+  /// `context.config` differs from config().history (a context built at
+  /// another resolution would link at that resolution).
   Result<LinkageResult> LinkShardedContext(const LinkageContext& context)
       const;
 

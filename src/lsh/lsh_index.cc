@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -59,116 +60,27 @@ const uint32_t* LshIndex::FindPosition(const PositionIndex& index,
   return &it->second;
 }
 
-LshIndex LshIndex::Build(const std::vector<Entry>& side_e,
-                         const std::vector<Entry>& side_i,
-                         const LshConfig& config, int threads,
-                         const LshWindowSpan* fixed_span) {
-  return BuildImpl(side_e, side_i, config, threads, fixed_span, nullptr,
-                   nullptr, nullptr);
-}
-
-LshIndex LshIndex::BuildReusing(const LshIndex& previous,
-                                const std::vector<Entry>& side_e,
-                                const std::vector<Entry>& side_i,
-                                const std::vector<uint8_t>& fresh_e,
-                                const std::vector<uint8_t>& fresh_i,
-                                const LshConfig& config, int threads,
-                                const LshWindowSpan* fixed_span) {
-  SLIM_CHECK_MSG(fresh_e.size() == side_e.size() &&
-                     fresh_i.size() == side_i.size(),
-                 "fresh flags must parallel the side entries");
-  return BuildImpl(side_e, side_i, config, threads, fixed_span, &previous,
-                   &fresh_e, &fresh_i);
-}
-
-LshIndex LshIndex::BuildImpl(const std::vector<Entry>& side_e,
-                             const std::vector<Entry>& side_i,
-                             const LshConfig& config, int threads,
-                             const LshWindowSpan* fixed_span,
-                             const LshIndex* previous,
-                             const std::vector<uint8_t>* fresh_e,
-                             const std::vector<uint8_t>* fresh_i) {
+LshIndex LshIndex::Build(std::vector<Entry> side_e, std::vector<Entry> side_i,
+                         const LshConfig& config, int threads) {
   SLIM_CHECK_MSG(config.num_buckets >= 1, "num_buckets must be >= 1");
   LshIndex index;
   index.candidates_.resize(side_e.size());
   index.left_positions_ = IndexPositions(side_e);
   index.right_positions_ = IndexPositions(side_i);
-  index.right_entities_.reserve(side_i.size());
-  for (const Entry& e : side_i) index.right_entities_.push_back(e.entity);
+  index.left_ = std::move(side_e);
+  index.right_ = std::move(side_i);
+  const std::vector<Entry>& left = index.left_;
+  const std::vector<Entry>& right = index.right_;
 
-  // Query grid: the caller-pinned span, else the union of occupied windows.
-  int64_t w_lo = std::numeric_limits<int64_t>::max();
-  int64_t w_hi = std::numeric_limits<int64_t>::min();
-  if (fixed_span != nullptr) {
-    w_lo = fixed_span->lo;
-    w_hi = fixed_span->end - 1;
-  } else {
-    auto widen = [&](const std::vector<Entry>& side) {
-      for (const Entry& e : side) {
-        SLIM_CHECK(e.tree != nullptr);
-        if (e.tree->empty()) continue;
-        w_lo = std::min(w_lo, e.tree->min_window());
-        w_hi = std::max(w_hi, e.tree->max_window());
-      }
-    };
-    widen(side_e);
-    widen(side_i);
+  index.signature_size_ = !left.empty()    ? left.front().signature.size()
+                          : !right.empty() ? right.front().signature.size()
+                                           : 0;
+  for (const auto* side : {&left, &right}) {
+    for (const Entry& e : *side) {
+      SLIM_CHECK_MSG(e.signature.size() == index.signature_size_,
+                     "signatures must share one query grid");
+    }
   }
-  if (w_lo > w_hi) {
-    // Nothing occupied anywhere: empty signatures, no candidates.
-    index.left_signatures_.resize(side_e.size());
-    index.right_signatures_.resize(side_i.size());
-    return index;
-  }
-
-  const int64_t w_end = w_hi + 1;
-  index.span_ = {w_lo, w_end};
-  if (previous != nullptr) {
-    // Signature reuse is only sound over an identical query grid; the
-    // incremental caller compares spans and falls back to Build() when
-    // the grid moved, so a mismatch here is a caller bug.
-    SLIM_CHECK_MSG(previous->span_.lo == w_lo && previous->span_.end == w_end,
-                   "BuildReusing over a different query-grid span");
-  }
-
-  // Signatures: one per entity, independent of each other — shard over
-  // entities into pre-sized vectors (entity order fixed by the caller).
-  // With a `previous` index, an entity flagged not-fresh copies its old
-  // signature instead of recomputing it (bit-identical: BuildSignature is
-  // pure in the tree and the grid, and neither changed for it).
-  index.left_signatures_.resize(side_e.size());
-  index.right_signatures_.resize(side_i.size());
-  auto build_side = [&](const std::vector<Entry>& side,
-                        const std::vector<uint8_t>* fresh, bool left,
-                        std::vector<LshSignature>& out) {
-    ParallelFor(
-        side.size(),
-        [&](size_t begin, size_t end, int) {
-          for (size_t k = begin; k < end; ++k) {
-            if (previous != nullptr && fresh != nullptr && (*fresh)[k] == 0) {
-              const LshSignature* prev =
-                  left ? previous->LeftSignature(side[k].entity)
-                       : previous->RightSignature(side[k].entity);
-              if (prev != nullptr) {
-                out[k] = *prev;
-                continue;
-              }
-            }
-            out[k] = BuildSignature(*side[k].tree, w_lo, w_end,
-                                    config.temporal_step_windows,
-                                    config.signature_spatial_level);
-          }
-        },
-        threads);
-  };
-  build_side(side_e, fresh_e, true, index.left_signatures_);
-  build_side(side_i, fresh_i, false, index.right_signatures_);
-  index.signature_size_ =
-      !index.left_signatures_.empty()
-          ? index.left_signatures_.front().size()
-          : (!index.right_signatures_.empty()
-                 ? index.right_signatures_.front().size()
-                 : 0);
   if (index.signature_size_ == 0) return index;
 
   // Banding (Lambert-W sizing).
@@ -180,10 +92,10 @@ LshIndex LshIndex::BuildImpl(const std::vector<Entry>& side_e,
 
   // Bucket tables, sharded over bands: each band hashes the right side into
   // its own bucket map and records every left entity's bucket key. Bands
-  // are fully independent, and within a band rights are appended in side_i
+  // are fully independent, and within a band rights are appended in Build()
   // order, so the tables never depend on scheduling.
   struct BandTable {
-    // bucket key -> right-side positions, in side_i order.
+    // bucket key -> right-side positions, in Build() order.
     std::unordered_map<uint64_t, std::vector<uint32_t>> right_buckets;
     // per left-entity index: its bucket key, or kNoBucket.
     std::vector<uint64_t> left_key;
@@ -198,16 +110,16 @@ LshIndex LshIndex::BuildImpl(const std::vector<Entry>& side_e,
           const size_t row_end =
               row_begin + static_cast<size_t>(index.rows_per_band_);
           BandTable& table = bands[band];
-          table.left_key.assign(side_e.size(), kNoBucket);
+          table.left_key.assign(left.size(), kNoBucket);
           uint64_t h;
-          for (size_t k = 0; k < side_e.size(); ++k) {
-            if (HashBand(index.left_signatures_[k], row_begin, row_end,
+          for (size_t k = 0; k < left.size(); ++k) {
+            if (HashBand(left[k].signature, row_begin, row_end,
                          config.hash_seed, &h)) {
               table.left_key[k] = h % config.num_buckets;
             }
           }
-          for (size_t k = 0; k < side_i.size(); ++k) {
-            if (HashBand(index.right_signatures_[k], row_begin, row_end,
+          for (size_t k = 0; k < right.size(); ++k) {
+            if (HashBand(right[k].signature, row_begin, row_end,
                          config.hash_seed, &h)) {
               table.right_buckets[h % config.num_buckets].push_back(
                   static_cast<uint32_t>(k));
@@ -221,7 +133,7 @@ LshIndex LshIndex::BuildImpl(const std::vector<Entry>& side_e,
   // left entity unions its bucket's rights across bands (band order) and
   // sorts/uniques its own list.
   ParallelFor(
-      side_e.size(),
+      left.size(),
       [&](size_t begin, size_t end, int) {
         for (size_t k = begin; k < end; ++k) {
           std::vector<uint32_t>& list = index.candidates_[k];
@@ -251,19 +163,19 @@ std::vector<EntityId> LshIndex::CandidatesFor(EntityId u) const {
   std::vector<EntityId> out;
   out.reserve(candidates_[*pos].size());
   for (const uint32_t right_pos : candidates_[*pos]) {
-    out.push_back(right_entities_[right_pos]);
+    out.push_back(right_[right_pos].entity);
   }
   return out;
 }
 
 const LshSignature* LshIndex::LeftSignature(EntityId u) const {
   const uint32_t* pos = FindPosition(left_positions_, u);
-  return pos == nullptr ? nullptr : &left_signatures_[*pos];
+  return pos == nullptr ? nullptr : &left_[*pos].signature;
 }
 
 const LshSignature* LshIndex::RightSignature(EntityId v) const {
   const uint32_t* pos = FindPosition(right_positions_, v);
-  return pos == nullptr ? nullptr : &right_signatures_[*pos];
+  return pos == nullptr ? nullptr : &right_[*pos].signature;
 }
 
 }  // namespace slim

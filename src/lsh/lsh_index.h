@@ -19,76 +19,45 @@
 
 #include "data/record.h"
 #include "lsh/signature.h"
-#include "temporal/window_tree.h"
 
 namespace slim {
 
 /// A fixed [lo, end) leaf-window range for the signature query grid.
 /// Candidate collisions are a pairwise predicate over band hashes, so an
-/// index built over a *subset* of one side under the same span produces
-/// exactly the full index's candidates restricted to that subset — the
-/// property the sharded linkage driver (core/sharded.h) relies on.
+/// index built over a *subset* of one side, from signatures computed under
+/// the same span, produces exactly the full index's candidates restricted
+/// to that subset — the property the sharded linkage driver
+/// (core/sharded.h) relies on.
 struct LshWindowSpan {
   int64_t lo = 0;
   int64_t end = 0;  // exclusive
 
   bool empty() const { return lo >= end; }
+  bool operator==(const LshWindowSpan&) const = default;
 };
 
 /// Candidate-pair index between two sides (dataset E = left, I = right).
 class LshIndex {
  public:
-  /// One indexable history: the entity id plus its window tree. The tree
-  /// pointer must outlive the Build() call (signatures are extracted
-  /// eagerly; the tree is not retained).
+  /// One indexable history: the entity id plus its signature. Every
+  /// signature of both sides must come from one query grid (equal sizes,
+  /// aligned positions); core/candidates.h computes them from the CSR
+  /// history store.
   struct Entry {
     EntityId entity = 0;
-    const WindowSegmentTree* tree = nullptr;
+    LshSignature signature;
   };
 
-  /// Builds the index. The query grid spans the union of both sides'
-  /// occupied window ranges, so signature positions align across every
-  /// history. Empty sides are allowed.
-  ///
-  /// `fixed_span`, when non-null, pins the query grid to an externally
-  /// computed window range instead of the union of the two inputs. Sharded
-  /// builds pass the span of the *full* problem so that signatures — and
-  /// therefore band hashes and candidates — are identical to a monolithic
-  /// build whatever subset of a side they receive.
+  /// Builds the index, taking ownership of both sides' signatures. Empty
+  /// sides are allowed.
   ///
   /// Construction is data-parallel over `threads` workers (<= 0 means the
-  /// library default; see common/parallel.h): signature computation shards
-  /// over entities, bucket building shards over bands, and candidate
-  /// gathering + de-duplication shards over left entities. Every merge is
-  /// ordered (entity order, band order), so the index is identical at
-  /// every thread count.
-  static LshIndex Build(const std::vector<Entry>& side_e,
-                        const std::vector<Entry>& side_i,
-                        const LshConfig& config, int threads = 0,
-                        const LshWindowSpan* fixed_span = nullptr);
-
-  /// Rebuilds the index over updated sides, reusing the signature of any
-  /// entity whose history did not change since `previous` was built
-  /// (fresh_X[k] == 0, positions parallel to side_X) and that `previous`
-  /// indexed. BuildSignature is a pure function of (tree, span, step,
-  /// level), so a reused signature is bit-identical to a recomputed one;
-  /// the banding, bucket, and candidate stages always run from scratch,
-  /// making the result identical to Build() over the same inputs at every
-  /// thread count. `previous` must have been built under the same config
-  /// and over the same query-grid span (CHECK-enforced against span());
-  /// when the span moved, fall back to Build().
-  static LshIndex BuildReusing(const LshIndex& previous,
-                               const std::vector<Entry>& side_e,
-                               const std::vector<Entry>& side_i,
-                               const std::vector<uint8_t>& fresh_e,
-                               const std::vector<uint8_t>& fresh_i,
-                               const LshConfig& config, int threads = 0,
-                               const LshWindowSpan* fixed_span = nullptr);
-
-  /// The query-grid span this index was built over ([0, 0) when nothing
-  /// was occupied). An incremental caller compares it against the next
-  /// epoch's span to decide between BuildReusing and a fresh Build.
-  const LshWindowSpan& span() const { return span_; }
+  /// library default; see common/parallel.h): bucket building shards over
+  /// bands, and candidate gathering + de-duplication shards over left
+  /// entities. Every merge is ordered (entity order, band order), so the
+  /// index is identical at every thread count.
+  static LshIndex Build(std::vector<Entry> side_e, std::vector<Entry> side_i,
+                        const LshConfig& config, int threads = 0);
 
   /// Sorted, de-duplicated right-side candidates for left entity `u`,
   /// materialised as entity ids (empty when u collided with nothing or was
@@ -112,7 +81,8 @@ class LshIndex {
   int num_bands() const { return num_bands_; }
   int rows_per_band() const { return rows_per_band_; }
 
-  /// The signature built for a left/right entity (tests + diagnostics);
+  /// The signature indexed for a left/right entity (incremental reuse,
+  /// tests, diagnostics);
   /// nullptr when the entity was not indexed.
   const LshSignature* LeftSignature(EntityId u) const;
   const LshSignature* RightSignature(EntityId v) const;
@@ -121,30 +91,21 @@ class LshIndex {
   // Sorted (entity, Build position) pairs for one side.
   using PositionIndex = std::vector<std::pair<EntityId, uint32_t>>;
 
-  static LshIndex BuildImpl(const std::vector<Entry>& side_e,
-                            const std::vector<Entry>& side_i,
-                            const LshConfig& config, int threads,
-                            const LshWindowSpan* fixed_span,
-                            const LshIndex* previous,
-                            const std::vector<uint8_t>* fresh_e,
-                            const std::vector<uint8_t>* fresh_i);
   static PositionIndex IndexPositions(const std::vector<Entry>& side);
   static const uint32_t* FindPosition(const PositionIndex& index,
                                       EntityId entity);
 
   // Dense per-position storage, in Build() input order. Candidate lists
-  // hold right-side positions (indices into right_entities_).
+  // hold right-side positions (indices into right_).
   std::vector<std::vector<uint32_t>> candidates_;  // per left position
-  std::vector<EntityId> right_entities_;
-  std::vector<LshSignature> left_signatures_;
-  std::vector<LshSignature> right_signatures_;
+  std::vector<Entry> left_;
+  std::vector<Entry> right_;
   PositionIndex left_positions_;
   PositionIndex right_positions_;
   uint64_t total_candidate_pairs_ = 0;
   size_t signature_size_ = 0;
   int num_bands_ = 0;
   int rows_per_band_ = 0;
-  LshWindowSpan span_;
 };
 
 }  // namespace slim

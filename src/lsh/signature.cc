@@ -8,29 +8,6 @@
 
 namespace slim {
 
-LshSignature BuildSignature(const WindowSegmentTree& tree,
-                            int64_t global_w_begin, int64_t global_w_end,
-                            int step_windows, int spatial_level) {
-  SLIM_CHECK_MSG(step_windows > 0, "temporal step must be positive");
-  SLIM_CHECK_MSG(global_w_end > global_w_begin, "empty global window range");
-  LshSignature sig;
-  const int64_t span = global_w_end - global_w_begin;
-  const int64_t steps =
-      (span + step_windows - 1) / static_cast<int64_t>(step_windows);
-  sig.cells.reserve(static_cast<size_t>(steps));
-  for (int64_t q = 0; q < steps; ++q) {
-    const int64_t lo = global_w_begin + q * step_windows;
-    const int64_t hi = std::min(global_w_end, lo + step_windows);
-    if (tree.empty()) {
-      sig.cells.push_back(kSignaturePlaceholder);
-      continue;
-    }
-    const auto dom = tree.DominatingCell(lo, hi, spatial_level);
-    sig.cells.push_back(dom.has_value() ? dom->raw() : kSignaturePlaceholder);
-  }
-  return sig;
-}
-
 double SignatureSimilarity(const LshSignature& a, const LshSignature& b) {
   SLIM_CHECK_MSG(a.size() == b.size(), "signature size mismatch");
   if (a.size() == 0) return 0.0;

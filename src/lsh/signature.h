@@ -5,14 +5,14 @@
 // non-overlapping query time windows that span the same global period in
 // the same order for every history. Query windows with no records yield a
 // placeholder that is omitted from band hashing. Signature similarity is
-// the fraction of matching dominating cells.
+// the fraction of matching dominating cells. Signatures are computed from
+// the CSR history store by BuildSignature (core/candidates.h).
 #ifndef SLIM_LSH_SIGNATURE_H_
 #define SLIM_LSH_SIGNATURE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "temporal/window_tree.h"
 
 namespace slim {
 
@@ -46,14 +46,6 @@ struct LshConfig {
   /// Salt for the band hash.
   uint64_t hash_seed = 0x51f15e11aa5eed01ULL;
 };
-
-/// Builds the signature of one history over the global query grid
-/// [global_w_begin, global_w_end) in steps of `step_windows` leaf windows.
-/// `spatial_level` must not exceed the tree's leaf level. An empty tree
-/// produces an all-placeholder signature.
-LshSignature BuildSignature(const WindowSegmentTree& tree,
-                            int64_t global_w_begin, int64_t global_w_end,
-                            int step_windows, int spatial_level);
 
 /// Fraction of signature positions with identical dominating cells, over
 /// the signature size (placeholder positions only match nothing — a

@@ -21,7 +21,6 @@
 #include "geo/latlng.h"          // IWYU pragma: export
 
 #include "temporal/time_window.h"  // IWYU pragma: export
-#include "temporal/window_tree.h"  // IWYU pragma: export
 
 #include "data/cab_generator.h"     // IWYU pragma: export
 #include "data/checkin_generator.h" // IWYU pragma: export

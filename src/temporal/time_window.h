@@ -3,7 +3,8 @@
 // The mobility-history representation (paper Sec. 2.3) buckets record
 // timestamps into fixed-width leaf windows. A window is identified by its
 // integer index: window w covers [w * width, (w + 1) * width) in epoch
-// seconds. Hierarchical aggregation over windows lives in WindowSegmentTree.
+// seconds. The LSH signatures group windows into fixed query steps
+// (core/candidates.h).
 #ifndef SLIM_TEMPORAL_TIME_WINDOW_H_
 #define SLIM_TEMPORAL_TIME_WINDOW_H_
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -97,14 +98,21 @@ TEST(LshCandidatesTest, MatchesTheUnderlyingLshIndex) {
 
   // An independently built index must agree pair-for-pair after re-keying
   // entity ids to dense indices.
+  const LshWindowSpan span = GlobalWindowSpan(ctx);
   std::vector<LshIndex::Entry> left, right;
   for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
-    left.push_back({ctx.store_e.entity_id(u), &ctx.store_e.tree(u)});
+    left.push_back({ctx.store_e.entity_id(u),
+                    BuildSignature(ctx.store_e, ctx.vocab, u, span,
+                                   lc.temporal_step_windows,
+                                   lc.signature_spatial_level)});
   }
   for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
-    right.push_back({ctx.store_i.entity_id(v), &ctx.store_i.tree(v)});
+    right.push_back({ctx.store_i.entity_id(v),
+                     BuildSignature(ctx.store_i, ctx.vocab, v, span,
+                                    lc.temporal_step_windows,
+                                    lc.signature_spatial_level)});
   }
-  const LshIndex index = LshIndex::Build(left, right, lc);
+  const LshIndex index = LshIndex::Build(std::move(left), std::move(right), lc);
   EXPECT_EQ(gen->total_candidate_pairs(), index.total_candidate_pairs());
   for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
     const auto& expected_ids = index.CandidatesFor(ctx.store_e.entity_id(u));

@@ -10,7 +10,9 @@
 // ULP fails here.
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,24 +42,42 @@ const LinkedPairSample& Sample() {
   return *sample;
 }
 
-TEST(Determinism, HistorySetIsIdenticalAtEveryThreadCount) {
+TEST(Determinism, ContextBinsMatchTheBinningKernelAtEveryThreadCount) {
   const HistoryConfig config;
-  const HistorySet reference = HistorySet::Build(Sample().a, config, 1);
-  for (int threads : {2, 3, 8}) {
-    const HistorySet set = HistorySet::Build(Sample().a, config, threads);
-    ASSERT_EQ(set.size(), reference.size()) << threads;
-    EXPECT_DOUBLE_EQ(set.avg_bins_per_history(),
-                     reference.avg_bins_per_history())
+  const LocationDataset& ds = Sample().a;
+  // The reference: every entity's bins and every bin's holder count, from
+  // the binning kernel alone.
+  std::vector<std::vector<TimeLocationBin>> reference;
+  std::map<std::pair<int64_t, CellId>, uint32_t> holders;
+  size_t total_bins = 0;
+  for (const EntityId id : ds.entity_ids()) {
+    reference.push_back(GroupRecordsIntoBins(ds.RecordsOf(id), config));
+    total_bins += reference.back().size();
+    for (const TimeLocationBin& bin : reference.back()) {
+      ++holders[{bin.window, bin.cell}];
+    }
+  }
+  for (int threads : {1, 2, 3, 8}) {
+    const LinkageContext ctx = LinkageContext::Build(ds, ds, config, threads);
+    const HistoryStore& store = ctx.store_e;
+    ASSERT_EQ(store.size(), reference.size()) << threads;
+    EXPECT_DOUBLE_EQ(store.avg_bins(),
+                     static_cast<double>(total_bins) /
+                         static_cast<double>(reference.size()))
         << threads;
-    for (size_t k = 0; k < set.size(); ++k) {
-      const MobilityHistory& a = set.histories()[k];
-      const MobilityHistory& b = reference.histories()[k];
-      ASSERT_EQ(a.entity(), b.entity()) << threads;
-      ASSERT_EQ(a.bins(), b.bins()) << threads << " entity " << a.entity();
-      // The dataset-level statistics every bin feeds must agree too.
-      for (const TimeLocationBin& bin : a.bins()) {
-        EXPECT_EQ(set.BinEntityCount(bin.window, bin.cell),
-                  reference.BinEntityCount(bin.window, bin.cell));
+    for (EntityIdx u = 0; u < store.size(); ++u) {
+      ASSERT_EQ(store.entity_id(u), ds.entity_ids()[u]) << threads;
+      ASSERT_EQ(store.num_bins(u), reference[u].size()) << threads;
+      for (size_t k = 0; k < store.num_bins(u); ++k) {
+        const BinId bin = store.bins(u)[k];
+        const TimeLocationBin& want = reference[u][k];
+        ASSERT_EQ(ctx.vocab.window(bin), want.window) << threads;
+        ASSERT_EQ(ctx.vocab.cell(bin), want.cell) << threads;
+        ASSERT_EQ(store.counts(u)[k], want.record_count) << threads;
+        // The dataset-level statistics every bin feeds must agree too.
+        EXPECT_EQ(store.bin_entity_count(bin),
+                  (holders[{want.window, want.cell}]))
+            << threads;
       }
     }
   }
@@ -92,18 +112,23 @@ TEST(Determinism, LinkageContextIsIdenticalAtEveryThreadCount) {
 }
 
 TEST(Determinism, LshIndexIsIdenticalAtEveryThreadCount) {
-  const HistoryConfig hconfig;
-  const HistorySet set_e = HistorySet::Build(Sample().a, hconfig, 1);
-  const HistorySet set_i = HistorySet::Build(Sample().b, hconfig, 1);
-  std::vector<LshIndex::Entry> left, right;
-  for (const auto& h : set_e.histories()) {
-    left.push_back({h.entity(), &h.tree()});
-  }
-  for (const auto& h : set_i.histories()) {
-    right.push_back({h.entity(), &h.tree()});
-  }
-
   const SlimConfig defaults;  // the stock LSH operating point
+  const LinkageContext ctx =
+      LinkageContext::Build(Sample().a, Sample().b, defaults.history, 1);
+  const LshWindowSpan span = GlobalWindowSpan(ctx);
+  const auto entries = [&](const HistoryStore& store) {
+    std::vector<LshIndex::Entry> out;
+    for (EntityIdx u = 0; u < store.size(); ++u) {
+      out.push_back({store.entity_id(u),
+                     BuildSignature(store, ctx.vocab, u, span,
+                                    defaults.lsh.temporal_step_windows,
+                                    defaults.lsh.signature_spatial_level)});
+    }
+    return out;
+  };
+  const std::vector<LshIndex::Entry> left = entries(ctx.store_e);
+  const std::vector<LshIndex::Entry> right = entries(ctx.store_i);
+
   const LshIndex reference = LshIndex::Build(left, right, defaults.lsh, 1);
   for (int threads : {2, 5, 8}) {
     const LshIndex index = LshIndex::Build(left, right, defaults.lsh, threads);

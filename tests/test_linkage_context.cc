@@ -1,11 +1,14 @@
 // Tests of the dense interned core (core/linkage_context.h): vocabulary
-// ordering and lookup, CSR layout equivalence with the sparse
-// MobilityHistory representation, and flat IDF agreement with the sparse
-// HistorySet statistics.
+// ordering and lookup, CSR layout equivalence with the bins
+// GroupRecordsIntoBins produces per entity, and flat IDF / length norms
+// agreeing with the Eq. 2/3 formulas evaluated over those bins.
 #include "core/linkage_context.h"
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -61,51 +64,65 @@ TEST(BinVocabulary, IdsAreDenseAndOrderedByWindowThenCell) {
   EXPECT_FALSE(ctx.vocab.Find(999999, ctx.vocab.cell(0)).has_value());
 }
 
-TEST(HistoryStore, CsrLayoutMatchesSparseHistories) {
+// Each entity's bins straight from the binning kernel, in entity order.
+std::vector<std::vector<TimeLocationBin>> ReferenceBins(
+    const LocationDataset& ds, const HistoryConfig& config) {
+  std::vector<std::vector<TimeLocationBin>> out;
+  for (const EntityId id : ds.entity_ids()) {
+    out.push_back(GroupRecordsIntoBins(ds.RecordsOf(id), config));
+  }
+  return out;
+}
+
+TEST(HistoryStore, CsrLayoutMatchesGroupedBins) {
   const LocationDataset a = RandomDataset(3, 8, 60, "a");
   const LocationDataset b = RandomDataset(4, 8, 60, "b");
   const LinkageContext ctx = LinkageContext::Build(a, b, Config());
-  const HistorySet sparse = HistorySet::Build(a, Config());
+  const auto reference = ReferenceBins(a, Config());
 
-  ASSERT_EQ(ctx.store_e.size(), sparse.size());
+  ASSERT_EQ(ctx.store_e.size(), reference.size());
+  size_t total_bins = 0;
   for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
-    const MobilityHistory& h = sparse.histories()[u];
-    ASSERT_EQ(ctx.store_e.entity_id(u), h.entity());
-    EXPECT_EQ(*ctx.store_e.IndexOf(h.entity()), u);
-    ASSERT_EQ(ctx.store_e.num_bins(u), h.num_bins());
-    EXPECT_EQ(ctx.store_e.total_records(u), h.total_records());
+    const EntityId id = a.entity_ids()[u];
+    const std::vector<TimeLocationBin>& want = reference[u];
+    total_bins += want.size();
+    ASSERT_EQ(ctx.store_e.entity_id(u), id);
+    EXPECT_EQ(*ctx.store_e.IndexOf(id), u);
+    ASSERT_EQ(ctx.store_e.num_bins(u), want.size());
+    EXPECT_EQ(ctx.store_e.total_records(u), a.RecordsOf(id).size());
 
-    // Bin spans must decode to the sparse bins, in the same order.
+    // Bin spans must decode to the grouped bins, in the same order.
     const auto bins = ctx.store_e.bins(u);
     const auto counts = ctx.store_e.counts(u);
     for (size_t k = 0; k < bins.size(); ++k) {
-      EXPECT_EQ(ctx.vocab.window(bins[k]), h.bins()[k].window);
-      EXPECT_EQ(ctx.vocab.cell(bins[k]), h.bins()[k].cell);
-      EXPECT_EQ(counts[k], h.bins()[k].record_count);
+      EXPECT_EQ(ctx.vocab.window(bins[k]), want[k].window);
+      EXPECT_EQ(ctx.vocab.cell(bins[k]), want[k].cell);
+      EXPECT_EQ(counts[k], want[k].record_count);
       if (k > 0) {
         EXPECT_LT(bins[k - 1], bins[k]);  // ascending BinIds
       }
     }
 
-    // Window index equivalence: same distinct windows, same per-window
-    // bins.
+    // Window index equivalence: same distinct windows, and each window's
+    // bin range covers exactly that window's grouped bins.
+    std::map<int64_t, size_t> want_windows;  // window -> bin count
+    for (const TimeLocationBin& bin : want) ++want_windows[bin.window];
     const auto windows = ctx.store_e.windows(u);
-    ASSERT_EQ(std::vector<int64_t>(windows.begin(), windows.end()),
-              h.windows());
-    for (size_t k = 0; k < windows.size(); ++k) {
+    ASSERT_EQ(windows.size(), want_windows.size());
+    size_t k = 0;
+    for (const auto& [window, count] : want_windows) {
+      EXPECT_EQ(windows[k], window);
       const auto [begin, end] = ctx.store_e.WindowBinRange(u, k);
-      const auto sparse_span = h.BinsInWindow(windows[k]);
-      ASSERT_EQ(end - begin, sparse_span.size());
+      ASSERT_EQ(end - begin, count);
       for (uint32_t pos = begin; pos < end; ++pos) {
-        EXPECT_EQ(ctx.vocab.window(ctx.store_e.bin_ids()[pos]), windows[k]);
+        EXPECT_EQ(ctx.vocab.window(ctx.store_e.bin_ids()[pos]), window);
       }
+      ++k;
     }
-
-    // Trees carry the same aggregates.
-    EXPECT_EQ(ctx.store_e.tree(u).total_records(), h.tree().total_records());
-    EXPECT_EQ(ctx.store_e.tree(u).num_windows(), h.tree().num_windows());
   }
-  EXPECT_DOUBLE_EQ(ctx.store_e.avg_bins(), sparse.avg_bins_per_history());
+  EXPECT_DOUBLE_EQ(ctx.store_e.avg_bins(),
+                   static_cast<double>(total_bins) /
+                       static_cast<double>(reference.size()));
 }
 
 TEST(HistoryStore, WindowMaskCoversEveryOccupiedWindow) {
@@ -135,30 +152,38 @@ TEST(HistoryStore, WindowMaskCoversEveryOccupiedWindow) {
   }
 }
 
-TEST(HistoryStore, FlatIdfAgreesWithSparseHistorySet) {
+TEST(HistoryStore, FlatIdfAgreesWithGroupedBins) {
   const LocationDataset a = RandomDataset(5, 10, 50, "a");
   const LocationDataset b = RandomDataset(6, 10, 50, "b");
   const LinkageContext ctx = LinkageContext::Build(a, b, Config());
-  const HistorySet sparse_e = HistorySet::Build(a, Config());
-  const HistorySet sparse_i = HistorySet::Build(b, Config());
 
-  for (BinId bin = 0; bin < ctx.vocab.size(); ++bin) {
-    const int64_t w = ctx.vocab.window(bin);
-    const CellId cell = ctx.vocab.cell(bin);
-    EXPECT_EQ(ctx.store_e.bin_entity_count(bin),
-              sparse_e.BinEntityCount(w, cell));
-    EXPECT_EQ(ctx.store_i.bin_entity_count(bin),
-              sparse_i.BinEntityCount(w, cell));
-    // Bit-equal, not approximately equal: the dense pipeline must keep the
-    // sparse pipeline's arithmetic.
-    EXPECT_EQ(ctx.store_e.idf(bin), sparse_e.Idf(w, cell)) << "bin " << bin;
-    EXPECT_EQ(ctx.store_i.idf(bin), sparse_i.Idf(w, cell)) << "bin " << bin;
-  }
-  // Length normalisation agreement, at a few b values.
-  for (double bee : {0.0, 0.5, 1.0}) {
-    for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
-      EXPECT_EQ(ctx.store_e.LengthNorm(u, bee),
-                sparse_e.LengthNorm(sparse_e.histories()[u], bee));
+  for (const auto& [store, dataset] :
+       {std::pair{&ctx.store_e, &a}, std::pair{&ctx.store_i, &b}}) {
+    // Holders per (window, cell) and bins per entity, from the kernel.
+    const auto reference = ReferenceBins(*dataset, Config());
+    std::map<std::pair<int64_t, CellId>, uint32_t> holders;
+    size_t total_bins = 0;
+    for (const auto& bins : reference) {
+      total_bins += bins.size();
+      for (const TimeLocationBin& bin : bins) ++holders[{bin.window, bin.cell}];
+    }
+    const double n = static_cast<double>(reference.size());
+    for (BinId bin = 0; bin < ctx.vocab.size(); ++bin) {
+      const auto it = holders.find({ctx.vocab.window(bin), ctx.vocab.cell(bin)});
+      const uint32_t count = it == holders.end() ? 0 : it->second;
+      EXPECT_EQ(store->bin_entity_count(bin), count) << "bin " << bin;
+      // Bit-equal, not approximately equal: Eq. 3 with log(N) for bins the
+      // side does not hold.
+      const double idf = count == 0 ? std::log(n) : std::log(n / count);
+      EXPECT_EQ(store->idf(bin), idf) << "bin " << bin;
+    }
+    // Length normalisation (Eq. 2), at a few b values.
+    const double avg = static_cast<double>(total_bins) / n;
+    for (double bee : {0.0, 0.5, 1.0}) {
+      for (EntityIdx u = 0; u < store->size(); ++u) {
+        const double rel = static_cast<double>(reference[u].size()) / avg;
+        EXPECT_EQ(store->LengthNorm(u, bee), (1.0 - bee) + bee * rel);
+      }
     }
   }
 }
@@ -183,8 +208,8 @@ TEST(LinkageContext, EmptyDatasetsBuildEmptyStores) {
 }
 
 TEST(LinkageContext, RegionRecordsFanOutAcrossCells) {
-  // A region record must intern one bin per covered leaf cell, mirroring
-  // the sparse representation's Sec. 2.1 extension.
+  // A region record must intern one bin per covered leaf cell (the
+  // Sec. 2.1 extension of GroupRecordsIntoBins).
   LocationDataset a("a"), b("b");
   a.Add(0, {37.7, -122.4}, 100);
   b.Add(0, {37.7, -122.4}, 100);

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/history.h"
+#include "core/candidates.h"
 #include "data/cab_generator.h"
 #include "test_util.h"
 
@@ -29,10 +29,27 @@ LshConfig LConfig() {
   return c;
 }
 
-std::vector<LshIndex::Entry> Entries(const HistorySet& set) {
+std::vector<LshIndex::Entry> Entries(const LinkageContext& ctx,
+                                     const HistoryStore& store,
+                                     const LshConfig& lc) {
+  const LshWindowSpan span = GlobalWindowSpan(ctx);
   std::vector<LshIndex::Entry> out;
-  for (const auto& h : set.histories()) out.push_back({h.entity(), &h.tree()});
+  for (EntityIdx u = 0; u < store.size(); ++u) {
+    out.push_back({store.entity_id(u),
+                   BuildSignature(store, ctx.vocab, u, span,
+                                  lc.temporal_step_windows,
+                                  lc.signature_spatial_level)});
+  }
   return out;
+}
+
+// The index over dataset a (left) and b (right), from signatures over the
+// pair's shared query grid.
+LshIndex BuildIndex(const LocationDataset& a, const LocationDataset& b,
+                    const LshConfig& lc = LConfig()) {
+  const LinkageContext ctx = LinkageContext::Build(a, b, HConfig());
+  return LshIndex::Build(Entries(ctx, ctx.store_e, lc),
+                         Entries(ctx, ctx.store_i, lc), lc);
 }
 
 TEST(LshIndex, EmptySidesProduceNoCandidates) {
@@ -50,14 +67,11 @@ TEST(LshIndex, IdenticalBehaviourCollides) {
   }
   const LocationDataset ds =
       testing::MakeAnchoredDataset(anchors, 24, kWindow);
-  const HistorySet set_e = HistorySet::Build(ds, HConfig());
-  const HistorySet set_i = HistorySet::Build(ds, HConfig());
-  const LshIndex idx = LshIndex::Build(Entries(set_e), Entries(set_i),
-                                       LConfig());
-  for (const auto& h : set_e.histories()) {
-    const auto& cands = idx.CandidatesFor(h.entity());
-    EXPECT_TRUE(std::binary_search(cands.begin(), cands.end(), h.entity()))
-        << "entity " << h.entity() << " does not see itself";
+  const LshIndex idx = BuildIndex(ds, ds);
+  for (const EntityId id : ds.entity_ids()) {
+    const auto& cands = idx.CandidatesFor(id);
+    EXPECT_TRUE(std::binary_search(cands.begin(), cands.end(), id))
+        << "entity " << id << " does not see itself";
   }
 }
 
@@ -73,10 +87,7 @@ TEST(LshIndex, DisjointPlacesRarelyCollide) {
   }
   const LocationDataset ds_e = testing::MakeAnchoredDataset(sf, 24, kWindow);
   const LocationDataset ds_i = testing::MakeAnchoredDataset(la, 24, kWindow);
-  const HistorySet set_e = HistorySet::Build(ds_e, HConfig());
-  const HistorySet set_i = HistorySet::Build(ds_i, HConfig());
-  const LshIndex idx =
-      LshIndex::Build(Entries(set_e), Entries(set_i), LConfig());
+  const LshIndex idx = BuildIndex(ds_e, ds_i);
   EXPECT_EQ(idx.total_candidate_pairs(), 0u);
 }
 
@@ -88,8 +99,7 @@ TEST(LshIndex, BandGeometryCoversSignature) {
   }
   const LocationDataset ds =
       testing::MakeAnchoredDataset(anchors, 48, kWindow);
-  const HistorySet set = HistorySet::Build(ds, HConfig());
-  const LshIndex idx = LshIndex::Build(Entries(set), Entries(set), LConfig());
+  const LshIndex idx = BuildIndex(ds, ds);
   EXPECT_GT(idx.signature_size(), 0u);
   EXPECT_GE(idx.num_bands(), 1);
   EXPECT_GE(idx.rows_per_band(), 1);
@@ -106,8 +116,7 @@ TEST(LshIndex, SignaturesAccessibleAndAligned) {
   }
   const LocationDataset ds =
       testing::MakeAnchoredDataset(anchors, 12, kWindow);
-  const HistorySet set = HistorySet::Build(ds, HConfig());
-  const LshIndex idx = LshIndex::Build(Entries(set), Entries(set), LConfig());
+  const LshIndex idx = BuildIndex(ds, ds);
   const LshSignature* left = idx.LeftSignature(0);
   const LshSignature* right = idx.RightSignature(0);
   ASSERT_NE(left, nullptr);
@@ -136,8 +145,6 @@ TEST(LshIndex, CandidateRecallForSimilarPairsIsHigh) {
   a.Finalize();
   b.Finalize();
 
-  const HistorySet set_e = HistorySet::Build(a, HConfig());
-  const HistorySet set_i = HistorySet::Build(b, HConfig());
   LshConfig lc = LConfig();
   // Operating point found on this workload (cf. the Fig. 8 sweep):
   // level-10 signatures over 2-hour queries with t = 0.4 keep full recall
@@ -145,21 +152,24 @@ TEST(LshIndex, CandidateRecallForSimilarPairsIsHigh) {
   lc.signature_spatial_level = 10;
   lc.temporal_step_windows = 8;
   lc.similarity_threshold = 0.4;
-  const LshIndex idx = LshIndex::Build(Entries(set_e), Entries(set_i), lc);
+  const LshIndex idx = BuildIndex(a, b, lc);
 
   size_t hits = 0, total = 0;
-  for (const auto& h : set_e.histories()) {
-    if (set_i.Find(h.entity()) == nullptr) continue;
+  for (const EntityId id : a.entity_ids()) {
+    if (!std::binary_search(b.entity_ids().begin(), b.entity_ids().end(),
+                            id)) {
+      continue;
+    }
     ++total;
-    const auto& cands = idx.CandidatesFor(h.entity());
-    hits += std::binary_search(cands.begin(), cands.end(), h.entity());
+    const auto& cands = idx.CandidatesFor(id);
+    hits += std::binary_search(cands.begin(), cands.end(), id);
   }
   ASSERT_GT(total, 0u);
   EXPECT_GT(static_cast<double>(hits) / static_cast<double>(total), 0.8);
   // And it must actually filter: far fewer candidates than the full cross
   // product.
   EXPECT_LT(idx.total_candidate_pairs(),
-            static_cast<uint64_t>(set_e.size()) * set_i.size());
+            static_cast<uint64_t>(a.num_entities()) * b.num_entities());
 }
 
 TEST(LshIndex, CandidateListsAreSortedAndUnique) {
@@ -169,10 +179,9 @@ TEST(LshIndex, CandidateListsAreSortedAndUnique) {
     anchors.push_back(testing::RandomPointInBox(&rng));
   const LocationDataset ds =
       testing::MakeAnchoredDataset(anchors, 24, kWindow);
-  const HistorySet set = HistorySet::Build(ds, HConfig());
-  const LshIndex idx = LshIndex::Build(Entries(set), Entries(set), LConfig());
-  for (const auto& h : set.histories()) {
-    const auto& cands = idx.CandidatesFor(h.entity());
+  const LshIndex idx = BuildIndex(ds, ds);
+  for (const EntityId id : ds.entity_ids()) {
+    const auto& cands = idx.CandidatesFor(id);
     EXPECT_TRUE(std::is_sorted(cands.begin(), cands.end()));
     EXPECT_EQ(std::adjacent_find(cands.begin(), cands.end()), cands.end());
   }
@@ -187,14 +196,12 @@ TEST(LshIndex, MoreBucketsNeverAddCandidates) {
     anchors.push_back(testing::RandomPointInBox(&rng));
   const LocationDataset ds =
       testing::MakeAnchoredDataset(anchors, 24, kWindow);
-  const HistorySet set = HistorySet::Build(ds, HConfig());
   LshConfig small = LConfig();
   small.num_buckets = 16;
   LshConfig big = LConfig();
   big.num_buckets = 1 << 20;
-  const LshIndex idx_small =
-      LshIndex::Build(Entries(set), Entries(set), small);
-  const LshIndex idx_big = LshIndex::Build(Entries(set), Entries(set), big);
+  const LshIndex idx_small = BuildIndex(ds, ds, small);
+  const LshIndex idx_big = BuildIndex(ds, ds, big);
   EXPECT_GE(idx_small.total_candidate_pairs(),
             idx_big.total_candidate_pairs());
 }

@@ -5,12 +5,12 @@
 //     the bit, window masks, quantized counts, the lot — so a mapped
 //     context scores and links bit-identically to the build it came from,
 //     for every candidate generator.
-//   * build_trees = false loads a context without the window-tree heap;
-//     brute/grid pipelines run unchanged on it (LSH requires trees).
 //   * LinkSharded with SlimConfig::sctx_path serializes on the first run,
-//     maps on every run, and matches the monolithic driver either way.
+//     maps on every run, and matches the monolithic driver either way; a
+//     file or context built under another HistoryConfig is refused.
 //   * Corrupt inputs (bad magic, version skew, truncation, trailing
-//     garbage) fail with a Status, mirroring tests/test_sbin.cc.
+//     garbage, CSR bytes the readers would index with) fail with a Status,
+//     mirroring tests/test_sbin.cc.
 #include "core/sctx.h"
 
 #include <unistd.h>
@@ -84,15 +84,13 @@ class SctxTest : public ::testing::Test {
 // Every public view of one store, compared exactly. IDF compares with ==
 // on the doubles: SCTX stores raw bit patterns, so bit-identity — not
 // closeness — is the contract.
-void ExpectStoresEqual(const HistoryStore& a, const HistoryStore& b,
-                       bool expect_trees) {
+void ExpectStoresEqual(const HistoryStore& a, const HistoryStore& b) {
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a.entity_ids(), b.entity_ids());
   EXPECT_EQ(a.bin_ids(), b.bin_ids());
   EXPECT_EQ(a.bin_counts(), b.bin_counts());
   EXPECT_EQ(a.idf_values(), b.idf_values());
   EXPECT_EQ(a.avg_bins(), b.avg_bins());
-  EXPECT_EQ(b.has_trees(), expect_trees);
   for (EntityIdx u = 0; u < a.size(); ++u) {
     ASSERT_EQ(a.num_bins(u), b.num_bins(u)) << u;
     const auto aw = a.windows(u), bw = b.windows(u);
@@ -130,8 +128,8 @@ TEST_F(SctxTest, RoundTripReproducesEveryStructureExactly) {
     EXPECT_EQ(mapped.vocab.cell(b), built.vocab.cell(b));
   }
 
-  ExpectStoresEqual(built.store_e, mapped.store_e, /*expect_trees=*/true);
-  ExpectStoresEqual(built.store_i, mapped.store_i, /*expect_trees=*/true);
+  ExpectStoresEqual(built.store_e, mapped.store_e);
+  ExpectStoresEqual(built.store_i, mapped.store_i);
   EXPECT_NE(mapped.backing, nullptr);
   EXPECT_EQ(built.backing, nullptr);
 }
@@ -146,21 +144,7 @@ TEST_F(SctxTest, MappedContextSurvivesCopyAndOutlivesTheOriginal) {
     copy = loaded.value();  // views must stay valid past the original
   }
   const LinkageContext built = BuildContext();
-  ExpectStoresEqual(built.store_e, copy.store_e, /*expect_trees=*/true);
-}
-
-TEST_F(SctxTest, SkippingTreesLoadsATreeFreeContext) {
-  const std::string path = Path("ctx.sctx");
-  ASSERT_TRUE(WriteSctx(BuildContext(), path).ok());
-  SctxReadOptions options;
-  options.build_trees = false;
-  auto loaded = ReadSctx(path, options);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded->store_e.has_trees());
-  EXPECT_FALSE(loaded->store_i.has_trees());
-  const LinkageContext built = BuildContext();
-  ExpectStoresEqual(built.store_e, loaded->store_e, /*expect_trees=*/false);
-  ExpectStoresEqual(built.store_i, loaded->store_i, /*expect_trees=*/false);
+  ExpectStoresEqual(built.store_e, copy.store_e);
 }
 
 // ---- Pipeline bit-identity over the mapped context. ----
@@ -178,9 +162,7 @@ TEST_P(SctxPipeline, MappedContextLinksBitIdentically) {
 
   const std::string path = Path("ctx.sctx");
   ASSERT_TRUE(WriteSctx(BuildContext(), path).ok());
-  SctxReadOptions options;
-  options.build_trees = GetParam() == CandidateKind::kLsh;
-  auto loaded = ReadSctx(path, options);
+  auto loaded = ReadSctx(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   config.left_shards = 2;
@@ -279,6 +261,146 @@ TEST_F(SctxTest, TrailingGarbageFails) {
   WriteFile(path, ReadFile(path) + "extra!!!");
   auto r = ReadSctx(path);
   ASSERT_FALSE(r.ok());
+}
+
+// Byte offsets inside an SCTX file of `ctx` (the layout of core/sctx.cc).
+struct SctxOffsets {
+  size_t spatial_level = 16;   // after magic, version, file_size
+  size_t window_seconds = 24;  // after spatial_level and its pad
+  size_t vocab_cells = 0;
+  size_t bin_offsets_e = 0;
+  size_t bin_ids_e = 0;
+};
+
+SctxOffsets OffsetsOf(const LinkageContext& ctx) {
+  const auto pad8 = [](size_t bytes) { return (bytes + 7) & ~size_t{7}; };
+  const size_t v = ctx.vocab.size();
+  const size_t n = ctx.store_e.size();
+  size_t tw = 0;
+  for (EntityIdx u = 0; u < n; ++u) tw += ctx.store_e.windows(u).size();
+  SctxOffsets at;
+  const size_t header = 96;
+  at.vocab_cells = header + v * 8;
+  // Store E: entity ids, records, masks, idf and windows precede the
+  // offsets; the two offset arrays, the window->bin map and the holder
+  // counts precede the bin ids.
+  at.bin_offsets_e = at.vocab_cells + v * 8 + n * 8 * 2 +
+                     n * 8 * HistoryStore::kWindowMaskWords + v * 8 + tw * 8;
+  at.bin_ids_e = at.bin_offsets_e + pad8((n + 1) * 4) * 2 +
+                 pad8((tw + 1) * 4) + pad8(v * 4);
+  return at;
+}
+
+template <typename T>
+T ReadAt(const std::string& bytes, size_t pos) {
+  T value;
+  std::memcpy(&value, bytes.data() + pos, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void WriteAt(std::string* bytes, size_t pos, T value) {
+  std::memcpy(bytes->data() + pos, &value, sizeof(T));
+}
+
+// Writes the built context, lets `corrupt` edit the bytes, and reads the
+// result back, which must fail with InvalidArgument naming `what`.
+class SctxCorruption : public SctxTest {
+ protected:
+  template <typename Edit>
+  void ExpectRejected(Edit corrupt, const std::string& what) {
+    const LinkageContext built = BuildContext();
+    const std::string path = Path("corrupt.sctx");
+    ASSERT_TRUE(WriteSctx(built, path).ok());
+    std::string bytes = ReadFile(path);
+    corrupt(built, OffsetsOf(built), &bytes);
+    WriteFile(path, bytes);
+    auto r = ReadSctx(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(what), std::string::npos)
+        << r.status().message();
+  }
+};
+
+TEST_F(SctxCorruption, BinIdOutsideTheVocabularyFails) {
+  ExpectRejected(
+      [](const LinkageContext& built, const SctxOffsets& at,
+         std::string* bytes) {
+        ASSERT_EQ(ReadAt<uint32_t>(*bytes, at.bin_ids_e),
+                  built.store_e.bin_ids()[0]);
+        WriteAt<uint32_t>(bytes, at.bin_ids_e, 0x7fffff00u);
+      },
+      "bin id");
+}
+
+TEST_F(SctxCorruption, NonMonotoneInteriorOffsetFails) {
+  ExpectRejected(
+      [](const LinkageContext& built, const SctxOffsets& at,
+         std::string* bytes) {
+        const size_t first_end = at.bin_offsets_e + 4;  // bin_offsets[1]
+        ASSERT_EQ(ReadAt<uint32_t>(*bytes, first_end),
+                  built.store_e.num_bins(0));
+        WriteAt<uint32_t>(bytes, first_end, 0xfffffff0u);
+      },
+      "not monotone");
+}
+
+TEST_F(SctxCorruption, HeaderResolutionOutOfRangeFails) {
+  ExpectRejected(
+      [](const LinkageContext&, const SctxOffsets& at, std::string* bytes) {
+        WriteAt<int32_t>(bytes, at.spatial_level, CellId::kMaxLevel + 1);
+      },
+      "resolution");
+  ExpectRejected(
+      [](const LinkageContext&, const SctxOffsets& at, std::string* bytes) {
+        WriteAt<int64_t>(bytes, at.window_seconds, 0);
+      },
+      "resolution");
+}
+
+TEST_F(SctxCorruption, VocabularyCellOffTheHeaderLevelFails) {
+  ExpectRejected(
+      [](const LinkageContext& built, const SctxOffsets& at,
+         std::string* bytes) {
+        ASSERT_EQ(ReadAt<uint64_t>(*bytes, at.vocab_cells),
+                  built.vocab.cell(0).raw());
+        WriteAt<uint64_t>(bytes, at.vocab_cells,
+                          built.vocab.cell(0).Parent(4).raw());
+      },
+      "vocabulary cell");
+}
+
+// ---- A context built under another HistoryConfig is refused. ----
+
+TEST_F(SctxTest, ContextFromAnotherResolutionIsRefused) {
+  const std::string path = Path("level12.sctx");
+  ASSERT_TRUE(WriteSctx(BuildContext(), path).ok());  // HistoryConfig{}
+  SlimConfig config;
+  config.threads = 2;
+  config.history.spatial_level = 14;
+
+  auto loaded = ReadSctx(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const auto direct = SlimLinker(config).LinkShardedContext(loaded.value());
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(direct.status().message().find("spatial_level 12"),
+            std::string::npos)
+      << direct.status().message();
+
+  // The driver maps the existing file rather than rebuilding it, so it
+  // must refuse too instead of linking at level 12.
+  config.sctx_path = path;
+  const auto driver = SlimLinker(config).LinkSharded(Sample().a, Sample().b);
+  ASSERT_FALSE(driver.ok());
+  EXPECT_EQ(driver.status().code(), StatusCode::kInvalidArgument);
+
+  config.history = HistoryConfig{};
+  config.history.window_seconds = 1800;
+  const auto window = SlimLinker(config).LinkSharded(Sample().a, Sample().b);
+  ASSERT_FALSE(window.ok());
+  EXPECT_EQ(window.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(SctxTest, WriteToUnwritablePathFails) {

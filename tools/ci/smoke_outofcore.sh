@@ -4,7 +4,9 @@
 # the first run, map-existing on the second) with a 1 MB budget that
 # forces multi-shard blocks, an on-disk edge spill, and the external
 # merge + streaming matcher (--no_graph). The links files must be
-# byte-identical to the monolithic run every time.
+# byte-identical to the monolithic run every time. Finally, the existing
+# context file must be refused by a run asking for another spatial level
+# instead of silently linking at the file's level.
 #
 # Runs locally too:  tools/ci/smoke_outofcore.sh [build_dir]
 set -euo pipefail
@@ -27,5 +29,12 @@ test -s "$TMP/context.sctx"
   --out "$TMP/links_sctx2.csv" --sctx "$TMP/context.sctx" \
   --left_shards 2 --memory_budget_mb 1 --spill_run_mb 1 --no_graph
 cmp "$TMP/links_mono_sm.csv" "$TMP/links_sctx2.csv"
+if "$BUILD/tools/slim_link" --a "$TMP/sctx_a.sbin" --b "$TMP/sctx_b.sbin" \
+  --out "$TMP/links_level14.csv" --sctx "$TMP/context.sctx" \
+  --spatial_level 14 2> "$TMP/level14.err"; then
+  echo "smoke_outofcore: a level-12 context linked a --spatial_level 14 run" >&2
+  exit 1
+fi
+grep -q "spatial_level 12" "$TMP/level14.err"
 
 echo "smoke_outofcore: OK"
