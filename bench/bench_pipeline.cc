@@ -11,7 +11,10 @@
 //     matching, graph, and stats — a mismatch aborts with exit code 1.
 //   * Regression (--baseline FILE): any stage slower than 2x its committed
 //     baseline time (for the same entities x threads cell) fails with exit
-//     code 1. Stages under 50 ms in the baseline are ignored as noise.
+//     code 1. Stages under 50 ms in the baseline are ignored as noise. A
+//     cell whose links or candidate pairs differ from the baseline's is
+//     refused as a stale baseline (exit code 1): its times describe other
+//     work.
 //
 // Flags: --quick (CI-sized workload), --out FILE (default
 // BENCH_pipeline.json), --baseline FILE, --entities a,b,..., --threads
@@ -302,11 +305,24 @@ int Main(int argc, char** argv) {
     const std::vector<bench::PipelineRunRecord> baseline =
         bench::ParsePipelineRuns(buffer.str());
     SLIM_CHECK_MSG(!baseline.empty(), "baseline has no runs");
-    int regressions = 0, compared = 0;
+    int regressions = 0, compared = 0, stale = 0;
     for (const PipelineRun& run : runs) {
       for (const bench::PipelineRunRecord& b : baseline) {
         if (b.entities != run.entities ||
             b.threads != run.threads) {
+          continue;
+        }
+        const auto links = static_cast<long long>(run.result.links.size());
+        const auto pairs = static_cast<long long>(run.result.candidate_pairs);
+        if ((b.links >= 0 && b.links != links) ||
+            (b.candidate_pairs >= 0 && b.candidate_pairs != pairs)) {
+          std::fprintf(stderr,
+                       "stale baseline — regenerate: %zu entities, %d "
+                       "threads: %lld links / %lld candidate pairs vs "
+                       "baseline %lld / %lld\n",
+                       run.entities, run.threads, links, pairs, b.links,
+                       b.candidate_pairs);
+          ++stale;
           continue;
         }
         for (const char* stage : kStageNames) {
@@ -325,9 +341,10 @@ int Main(int argc, char** argv) {
         }
       }
     }
-    std::printf("baseline gate: %d stage comparisons vs %s, %d regressions\n",
-                compared, baseline_path.c_str(), regressions);
-    if (regressions > 0) return 1;
+    std::printf("baseline gate: %d stage comparisons vs %s, %d regressions, "
+                "%d stale cells\n",
+                compared, baseline_path.c_str(), regressions, stale);
+    if (regressions > 0 || stale > 0) return 1;
   }
   return 0;
 }

@@ -182,6 +182,10 @@ struct PipelineRunRecord {
   // Both 0 for older records and for in-memory runs.
   uint64_t spill_bytes_written = 0;
   int merge_passes = 0;
+  // Workload outputs of the cell (pipeline records): links kept and
+  // candidate pairs scored. -1 when the record does not carry them.
+  long long links = -1;
+  long long candidate_pairs = -1;
   // Stage name -> wall seconds ("histories", "lsh", "scoring", "matching",
   // "total").
   std::vector<std::pair<std::string, double>> seconds;
@@ -396,6 +400,11 @@ inline std::vector<PipelineRunRecord> ParsePipelineRuns(
     const double merges =
         optional_field("\"merge_passes\"", sizeof("\"merge_passes\""));
     if (merges >= 0.0) run.merge_passes = static_cast<int>(merges);
+    const double links = optional_field("\"links\"", sizeof("\"links\""));
+    if (links >= 0.0) run.links = static_cast<long long>(links);
+    const double pairs =
+        optional_field("\"candidate_pairs\"", sizeof("\"candidate_pairs\""));
+    if (pairs >= 0.0) run.candidate_pairs = static_cast<long long>(pairs);
     const size_t close = parse_stage_object(seconds_pos, &run.seconds);
     if (close == std::string::npos) break;
     // v2: an optional peak_rss_bytes object belonging to this run (it must

@@ -5,15 +5,15 @@
 // component, candidate generation is a first-class interface with three
 // implementations:
 //
-//   BruteForceCandidates — every cross-dataset pair (the "no-LSH SLIM"
-//                          reference; exact, quadratic).
-//   LshCandidates        — banded LSH over history signatures (paper
-//                          Sec. 4; the production default).
-//   GridBlockingCandidates — ST-Link-style co-visit blocking: a pair is a
-//                          candidate iff the two entities share at least
-//                          one (window, leaf cell) time-location bin.
-//                          Exact on pairs with any exact co-visit; prunes
-//                          everything else.
+//   brute — every cross-dataset pair (the "no-LSH SLIM" reference;
+//           exact, quadratic).
+//   lsh   — banded LSH over history signatures (paper Sec. 4; the
+//           production default): sparse bucket ids per entity, gathered
+//           into one candidate CSR (lsh/lsh_index.h).
+//   grid  — ST-Link-style co-visit blocking: a pair is a candidate iff
+//           the two entities share at least one (window, leaf cell)
+//           time-location bin. Exact on pairs with any exact co-visit;
+//           prunes everything else.
 //
 // All generators speak dense EntityIdx (core/linkage_context.h) and return
 // ascending, de-duplicated right-side index spans, so the scoring loop is
@@ -23,10 +23,13 @@
 #define SLIM_CORE_CANDIDATES_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string_view>
+#include <vector>
 
+#include "common/csr.h"
 #include "common/status.h"
 #include "core/linkage_context.h"
 #include "lsh/lsh_index.h"
@@ -79,25 +82,42 @@ class CandidateGenerator {
 /// The query-grid span of the FULL problem (union of both stores'
 /// occupied windows; [0, 0) when nothing is occupied). Every LSH build —
 /// monolithic, shard, or incremental epoch — pins its grid to this span,
-/// so signatures never depend on which subset was indexed; the
+/// so bucket ids never depend on which subset was indexed; the
 /// incremental linker (core/incremental.h) compares it across epochs to
-/// decide whether cached LSH signatures are still valid.
+/// decide whether cached bucket ids are still valid.
 LshWindowSpan GlobalWindowSpan(const LinkageContext& ctx);
 
-/// The LSH signature (lsh/signature.h) of entity `u` of `store` over the
-/// query grid `span`, cut into steps of `step_windows` leaf windows (the
-/// last step may be partial). Position q holds the dominating cell of step
-/// q: every bin of the step has its cell lifted to `spatial_level` (which
-/// must not exceed the store's leaf level) and its record count summed per
-/// lifted cell; the highest sum wins, ties going to the smaller CellId.
-/// Steps without records hold kSignaturePlaceholder. One in-order pass over
-/// windows(u), so the cost is linear in u's bins; `span` must cover every
-/// occupied window of u (GlobalWindowSpan does). An empty span yields an
-/// empty signature.
-LshSignature BuildSignature(const HistoryStore& store,
-                            const BinVocabulary& vocab, EntityIdx u,
-                            const LshWindowSpan& span, int step_windows,
-                            int spatial_level);
+/// The sparse LSH signature (lsh/signature.h) of entity `u` of `store`
+/// over the query grid `span`, cut into steps of `step_windows` leaf
+/// windows (the last step may be partial). Step q's dominating cell: every
+/// bin of the step has its cell lifted to `spatial_level` (which must not
+/// exceed the store's leaf level) and its record count summed per lifted
+/// cell; the highest sum wins, ties going to the smaller CellId. Only steps
+/// with records are listed, ascending. One in-order pass over windows(u),
+/// so the cost is linear in u's bins; `span` must cover every occupied
+/// window of u (GlobalWindowSpan does).
+std::vector<SignatureStep> BuildSignature(const HistoryStore& store,
+                                          const BinVocabulary& vocab,
+                                          EntityIdx u,
+                                          const LshWindowSpan& span,
+                                          int step_windows, int spatial_level);
+
+/// The LSH bucket ids (lsh/lsh_index.h) of entities [begin, end) of
+/// `store`, one CSR row per entity: its BuildSignature over `span`, banded
+/// by LshBanding::Of(span, config) — unless reuse(u, &out) appended u's ids
+/// from a cache and returned true. Parallel; identical at every thread count.
+Csr<uint64_t> BuildBucketIds(
+    const HistoryStore& store, const BinVocabulary& vocab, EntityIdx begin,
+    EntityIdx end, const LshWindowSpan& span, const LshConfig& config,
+    int threads,
+    const std::function<bool(EntityIdx, std::vector<uint64_t>*)>& reuse = {});
+
+/// The LSH candidates of left rows `left` (entities from `left_begin`)
+/// against right rows `right` (from `right_begin`), both BuildBucketIds
+/// over one span and config.
+std::unique_ptr<CandidateGenerator> MakeLshCandidates(
+    const Csr<uint64_t>& left, const Csr<uint64_t>& right,
+    EntityIdx left_begin, EntityIdx right_begin, int threads = 0);
 
 /// Builds the candidate index of `kind` over the context. `lsh_config` is
 /// consulted only by kLsh, `grid_config` only by kGrid. Construction is

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <string_view>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -18,26 +17,6 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
-
-// CandidateGenerator facade over an externally owned LshIndex. The index
-// was built over the full stores in store order, so its positions ARE
-// EntityIdx values — the same lists MakeCandidateGenerator's LSH path
-// serves, minus the rebuild.
-class LshIndexCandidates final : public CandidateGenerator {
- public:
-  explicit LshIndexCandidates(const LshIndex& index) : index_(index) {}
-  std::string_view name() const override { return "lsh"; }
-  std::span<const EntityIdx> CandidatesFor(EntityIdx u) const override {
-    const std::vector<uint32_t>& list = index_.CandidatePositionsAt(u);
-    return {list.data(), list.size()};
-  }
-  uint64_t total_candidate_pairs() const override {
-    return index_.total_candidate_pairs();
-  }
-
- private:
-  const LshIndex& index_;
-};
 
 // Sorted-set membership flags over a store's current entity order.
 std::vector<uint8_t> DirtyFlags(const HistoryStore& store,
@@ -147,64 +126,51 @@ Result<EpochResult> IncrementalLinker::LinkEpoch() {
   if (ctx_.store_e.size() == 0 || ctx_.store_i.size() == 0) {
     // Mirrors the batch early return: no candidates, no links.
     rows_.clear();
-    lsh_.reset();
+    lsh_span_.reset();
     seal_bookkeeping();
     return out;
   }
 
-  // 2. Candidates. For LSH the index is owned here so signatures of
+  // 2. Candidates. For LSH the bucket ids are kept here so those of
   //    un-appended entities carry over between epochs; brute/grid rebuild
   //    their (cheap) structures via the standard factory.
   t0 = std::chrono::steady_clock::now();
   std::unique_ptr<CandidateGenerator> generator;
   if (config_.candidates == CandidateKind::kLsh) {
-    // A signature is a pure function of the entity's bins and the query
-    // grid, so while the grid holds still an un-appended entity carries
-    // its previous signature over (bit-identical to a recomputation).
+    // Bucket ids are a pure function of the entity's bins and the query
+    // grid, so while the grid holds still an un-appended entity carries its
+    // previous ids over (bit-identical to a recomputation).
     const LshWindowSpan span = GlobalWindowSpan(ctx_);
-    const bool reuse = lsh_.has_value() && lsh_span_ == span;
-    const auto side_entries = [&](const HistoryStore& store,
+    const bool reuse = lsh_span_ == span;
+    const auto side_buckets = [&](const HistoryStore& store,
                                   const std::set<EntityId>& dirty,
-                                  bool left) {
+                                  const SideBuckets& prev) {
       const std::vector<uint8_t> fresh = DirtyFlags(store, dirty);
-      std::vector<LshIndex::Entry> entries(store.size());
-      ParallelFor(
-          entries.size(),
-          [&](size_t begin, size_t end, int) {
-            for (size_t k = begin; k < end; ++k) {
-              const EntityIdx u = static_cast<EntityIdx>(k);
-              entries[k].entity = store.entity_id(u);
-              if (reuse && fresh[k] == 0) {
-                const LshSignature* prev =
-                    left ? lsh_->LeftSignature(entries[k].entity)
-                         : lsh_->RightSignature(entries[k].entity);
-                if (prev != nullptr) {
-                  entries[k].signature = *prev;
-                  continue;
-                }
-              }
-              entries[k].signature = BuildSignature(
-                  store, ctx_.vocab, u, span,
-                  config_.lsh.temporal_step_windows,
-                  config_.lsh.signature_spatial_level);
-            }
-          },
-          threads);
+      const auto carry = [&](EntityIdx u, std::vector<uint64_t>* ids) {
+        if (!reuse || fresh[u] != 0) return false;
+        const auto it = std::lower_bound(prev.ids.begin(), prev.ids.end(),
+                                         store.entity_id(u));
+        if (it == prev.ids.end() || *it != store.entity_id(u)) return false;
+        const std::span<const uint64_t> row =
+            prev.buckets.row(static_cast<size_t>(it - prev.ids.begin()));
+        ids->insert(ids->end(), row.begin(), row.end());
+        return true;
+      };
       if (reuse) {
-        for (const uint8_t f : fresh) {
-          out.incremental.signatures_reused += f == 0 ? 1 : 0;
-        }
+        out.incremental.signatures_reused +=
+            static_cast<uint64_t>(std::count(fresh.begin(), fresh.end(), 0));
       }
-      return entries;
+      const std::span<const EntityId> ids = store.entity_ids().span();
+      return SideBuckets{{ids.begin(), ids.end()},
+                         BuildBucketIds(store, ctx_.vocab, 0,
+                                        static_cast<EntityIdx>(store.size()),
+                                        span, config_.lsh, threads, carry)};
     };
-    std::vector<LshIndex::Entry> entries_e =
-        side_entries(ctx_.store_e, dirty_e_, true);
-    std::vector<LshIndex::Entry> entries_i =
-        side_entries(ctx_.store_i, dirty_i_, false);
-    lsh_ = LshIndex::Build(std::move(entries_e), std::move(entries_i),
-                           config_.lsh, threads);
+    lsh_e_ = side_buckets(ctx_.store_e, dirty_e_, lsh_e_);
+    lsh_i_ = side_buckets(ctx_.store_i, dirty_i_, lsh_i_);
     lsh_span_ = span;
-    generator = std::make_unique<LshIndexCandidates>(*lsh_);
+    generator = MakeLshCandidates(lsh_e_.buckets, lsh_i_.buckets, 0, 0,
+                                  threads);
   } else {
     generator = MakeCandidateGenerator(config_.candidates, ctx_, config_.lsh,
                                        config_.grid, threads);

@@ -24,12 +24,12 @@
 //     length norm would shift), and neither endpoint was appended to.
 //     Any structural growth marks the whole cache stale
 //     (LinkageContext::AppendSummary).
-//   * LSH signature reuse. A signature is a pure function of the
-//     entity's bins and the query grid (core/candidates.h), so signatures
-//     of un-appended entities carry over even through epochs that
-//     re-score everything — unless the global window span moved, which
-//     recomputes every signature. Banding and candidate gathering always
-//     re-run; they are cheap and deterministic.
+//   * LSH bucket-id reuse. An entity's bucket ids are a pure function of
+//     its bins and the query grid (core/candidates.h), so the ids of
+//     un-appended entities carry over even through epochs that re-score
+//     everything — unless the global window span moved, which recomputes
+//     every entity's ids. Candidate gathering always re-runs; it is cheap
+//     and deterministic.
 //
 // One asterisk: LinkageResult::stats covers only the pairs actually
 // re-scored in the epoch (EpochStats says how many were reused), and the
@@ -50,6 +50,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/csr.h"
 #include "common/status.h"
 #include "core/linkage_context.h"
 #include "core/slim.h"
@@ -62,7 +63,7 @@ struct EpochStats {
   uint64_t appended_records = 0;  // records folded in by this epoch
   uint64_t pairs_scored = 0;      // candidate pairs scored fresh
   uint64_t pairs_reused = 0;      // candidate pairs served from cache
-  uint64_t signatures_reused = 0; // LSH signatures carried over
+  uint64_t signatures_reused = 0; // entities whose LSH bucket ids carried over
   bool rescored_all = false;      // structural growth staled the cache
 };
 
@@ -134,11 +135,17 @@ class IncrementalLinker {
   uint64_t pending_records_e_ = 0, pending_records_i_ = 0;
   uint64_t total_records_e_ = 0, total_records_i_ = 0;
 
-  // Carried across epochs: the LSH index (signature donor) with the query
-  // grid its signatures were computed over, the score rows sorted by left
-  // EntityId, and the last epoch's links.
-  std::optional<LshIndex> lsh_;
-  LshWindowSpan lsh_span_;
+  // One side's LSH bucket ids: row k belongs to entity ids[k].
+  struct SideBuckets {
+    std::vector<EntityId> ids;
+    Csr<uint64_t> buckets;
+  };
+
+  // Carried across epochs: both sides' bucket ids with the query grid they
+  // were computed over (none while no ids are kept), the score rows sorted
+  // by left EntityId, and the last epoch's links.
+  SideBuckets lsh_e_, lsh_i_;
+  std::optional<LshWindowSpan> lsh_span_;
   std::vector<std::pair<EntityId, ScoreRow>> rows_;
   std::vector<LinkedEntityPair> links_;
 };

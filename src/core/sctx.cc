@@ -1,6 +1,7 @@
 #include "core/sctx.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -266,6 +267,18 @@ class SctxIo {
                                        path);
       }
     }
+    // The LSH query grid spans these windows; its width plus a step (an
+    // int) must fit in an int64_t.
+    if (vocab > 0) {
+      const auto [lo, hi] =
+          std::minmax_element(vocab_windows, vocab_windows + vocab);
+      const uint64_t range =
+          static_cast<uint64_t>(*hi) - static_cast<uint64_t>(*lo);
+      if (range > static_cast<uint64_t>(INT64_MAX - INT_MAX)) {
+        return Status::InvalidArgument(
+            "SCTX vocabulary windows too far apart: " + path);
+      }
+    }
 
     HistoryStore* stores[2] = {&ctx.store_e, &ctx.store_i};
     for (int s = 0; s < 2; ++s) {
@@ -295,7 +308,8 @@ class SctxIo {
       if (!c.ok) {
         return Status::IoError("SCTX truncated (store arrays): " + path);
       }
-      if (const char* error = CsrError(store, vocab); error != nullptr) {
+      if (const char* error = CsrError(store, ctx.vocab.windows_);
+          error != nullptr) {
         return Status::InvalidArgument(std::string("SCTX ") + error + ": " +
                                        path);
       }
@@ -316,9 +330,11 @@ class SctxIo {
   // here rather than steer a read outside the mapping. The CSR offsets
   // must start at 0, be monotone, and end at the header counts; each
   // window's bin range must nest inside its entity's; each entity's
-  // windows must ascend strictly; every bin id must be in the vocabulary.
-  // Returns what is wrong, or nullptr.
-  static const char* CsrError(const HistoryStore& store, size_t vocab) {
+  // windows must ascend strictly; every bin id must be in the vocabulary,
+  // and every bin's vocabulary window must be the window it is listed
+  // under. Returns what is wrong, or nullptr.
+  static const char* CsrError(const HistoryStore& store,
+                              const FlatArray<int64_t>& vocab_windows) {
     const size_t n = store.entity_ids_.size();
     const auto& bin_offsets = store.bin_offsets_;
     const auto& window_offsets = store.window_offsets_;
@@ -336,6 +352,11 @@ class SctxIo {
         return "CSR offsets not monotone";
       }
     }
+    for (size_t p = 0; p < tb; ++p) {
+      if (store.bin_ids_[p] >= vocab_windows.size()) {
+        return "bin id outside the vocabulary";
+      }
+    }
     // With monotone offsets pinned to [0, tw] and [0, tb], every index
     // below stays inside its array.
     for (size_t u = 0; u < n; ++u) {
@@ -349,11 +370,12 @@ class SctxIo {
             store.windows_[w - 1] >= store.windows_[w]) {
           return "windows not ascending";
         }
-      }
-    }
-    for (size_t p = 0; p < tb; ++p) {
-      if (store.bin_ids_[p] >= vocab) {
-        return "bin id outside the vocabulary";
+        for (uint32_t p = window_bin_begin[w]; p < window_bin_begin[w + 1];
+             ++p) {
+          if (vocab_windows[store.bin_ids_[p]] != store.windows_[w]) {
+            return "window differs from its bins' vocabulary window";
+          }
+        }
       }
     }
     return nullptr;

@@ -1,8 +1,8 @@
 #include "lsh/lsh_index.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -18,164 +18,162 @@ uint64_t Mix(uint64_t z) {
   return z ^ (z >> 31);
 }
 
-// Hashes one band of a signature; returns false when every row is a
-// placeholder (the band carries no evidence and must not collide).
-bool HashBand(const LshSignature& sig, size_t row_begin, size_t row_end,
-              uint64_t seed, uint64_t* out) {
-  uint64_t h = seed ^ Mix(row_begin * 0x9e3779b97f4a7c15ULL);
-  bool any = false;
-  for (size_t row = row_begin; row < row_end && row < sig.size(); ++row) {
-    if (sig.IsPlaceholder(row)) continue;
-    any = true;
-    // Positions participate so that the same cell in different query
-    // windows does not collide.
-    h = Mix(h ^ Mix((row + 1) * 0xd1b54a32d192ed03ULL) ^ sig.cells[row]);
-  }
-  *out = h;
-  return any;
-}
+// A bucket id with a position (a left entity, or an index into the right
+// side's ids).
+struct Entry {
+  uint64_t bucket;
+  uint32_t pos;
+};
 
-// Marks "this entity's band was all placeholders; it lands in no bucket".
-constexpr uint64_t kNoBucket = std::numeric_limits<uint64_t>::max();
+// Sorts entries by bucket id, stably: an LSD radix sort over 11-bit
+// digits, as many as the largest id needs, so nothing is sized by the
+// bucket count. Entries that arrive ascending by position leave ordered by
+// (bucket id, position).
+void SortByBucket(std::vector<Entry>* entries) {
+  constexpr int kBits = 11;
+  constexpr uint64_t kMask = (uint64_t{1} << kBits) - 1;
+  uint64_t max_id = 0;
+  for (const Entry& e : *entries) max_id = std::max(max_id, e.bucket);
+  std::vector<Entry> sorted(entries->size());
+  for (int shift = 0; shift < 64 && (max_id >> shift) != 0; shift += kBits) {
+    std::array<size_t, kMask + 2> start{};
+    for (const Entry& e : *entries) ++start[((e.bucket >> shift) & kMask) + 1];
+    for (size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+    for (const Entry& e : *entries) {
+      sorted[start[(e.bucket >> shift) & kMask]++] = e;
+    }
+    entries->swap(sorted);
+  }
+}
 
 }  // namespace
 
-LshIndex::PositionIndex LshIndex::IndexPositions(
-    const std::vector<Entry>& side) {
-  PositionIndex index;
-  index.reserve(side.size());
-  for (size_t k = 0; k < side.size(); ++k) {
-    index.emplace_back(side[k].entity, static_cast<uint32_t>(k));
+LshBanding LshBanding::Of(const LshWindowSpan& span, const LshConfig& config) {
+  // The level's bound by the leaf level is the caller's to check.
+  SLIM_CHECK_MSG(ValidateLshConfig(config, config.signature_spatial_level).ok(),
+                 "invalid LSH config");
+  LshBanding banding;
+  banding.num_buckets = config.num_buckets;
+  banding.hash_seed = config.hash_seed;
+  if (span.empty()) return banding;
+  // Unsigned, so that no span width overflows.
+  const uint64_t width =
+      static_cast<uint64_t>(span.end) - static_cast<uint64_t>(span.lo);
+  const auto step = static_cast<uint64_t>(config.temporal_step_windows);
+  banding.signature_size = width / step + (width % step != 0 ? 1 : 0);
+  banding.num_bands = static_cast<uint64_t>(
+      ComputeNumBands(banding.signature_size, config.similarity_threshold));
+  banding.rows_per_band =
+      (banding.signature_size + banding.num_bands - 1) / banding.num_bands;
+  return banding;
+}
+
+void LshBanding::AppendBucketIds(std::span<const SignatureStep> signature,
+                                 std::vector<uint64_t>* out) const {
+  for (size_t k = 0; k < signature.size();) {
+    const uint64_t band = signature[k].step / rows_per_band;
+    uint64_t h = hash_seed ^ Mix(band * rows_per_band * 0x9e3779b97f4a7c15ULL);
+    for (; k < signature.size() && signature[k].step / rows_per_band == band;
+         ++k) {
+      // Positions participate so that the same cell in different query
+      // windows does not collide.
+      h = Mix(h ^ Mix((signature[k].step + 1) * 0xd1b54a32d192ed03ULL) ^
+              signature[k].cell);
+    }
+    out->push_back(band * num_buckets + h % num_buckets);
   }
-  std::sort(index.begin(), index.end());
-  return index;
 }
 
-const uint32_t* LshIndex::FindPosition(const PositionIndex& index,
-                                       EntityId entity) {
-  const auto it = std::lower_bound(
-      index.begin(), index.end(), entity,
-      [](const auto& pair, EntityId e) { return pair.first < e; });
-  if (it == index.end() || it->first != entity) return nullptr;
-  return &it->second;
-}
+Csr<uint32_t> GatherLshCandidates(const Csr<uint64_t>& left,
+                                  const Csr<uint64_t>& right,
+                                  uint32_t right_base, int threads) {
+  const size_t lefts = left.rows();
+  Csr<uint32_t> out;
+  out.offsets.assign(lefts + 1, 0);
+  if (lefts == 0 || right.values.empty()) return out;
+  SLIM_CHECK_MSG(left.values.size() < std::numeric_limits<uint32_t>::max() &&
+                     right.values.size() < std::numeric_limits<uint32_t>::max(),
+                 "too many bucket ids for one gather");
 
-LshIndex LshIndex::Build(std::vector<Entry> side_e, std::vector<Entry> side_i,
-                         const LshConfig& config, int threads) {
-  SLIM_CHECK_MSG(config.num_buckets >= 1, "num_buckets must be >= 1");
-  LshIndex index;
-  index.candidates_.resize(side_e.size());
-  index.left_positions_ = IndexPositions(side_e);
-  index.right_positions_ = IndexPositions(side_i);
-  index.left_ = std::move(side_e);
-  index.right_ = std::move(side_i);
-  const std::vector<Entry>& left = index.left_;
-  const std::vector<Entry>& right = index.right_;
-
-  index.signature_size_ = !left.empty()    ? left.front().signature.size()
-                          : !right.empty() ? right.front().signature.size()
-                                           : 0;
-  for (const auto* side : {&left, &right}) {
-    for (const Entry& e : *side) {
-      SLIM_CHECK_MSG(e.signature.size() == index.signature_size_,
-                     "signatures must share one query grid");
+  // The bucket table: one (bucket id, left position) entry per left bucket
+  // id, sorted. The probes: every right bucket id with its index into
+  // right.values, sorted by bucket id.
+  std::vector<Entry> table(left.values.size()), probes(right.values.size());
+  for (size_t u = 0; u < lefts; ++u) {
+    for (uint64_t p = left.offsets[u]; p < left.offsets[u + 1]; ++p) {
+      table[p] = {left.values[p], static_cast<uint32_t>(u)};
     }
   }
-  if (index.signature_size_ == 0) return index;
+  for (size_t j = 0; j < probes.size(); ++j) {
+    probes[j] = {right.values[j], static_cast<uint32_t>(j)};
+  }
+  SortByBucket(&table);
+  SortByBucket(&probes);
+  // runs[j]: the table range holding right id j's bucket, from a merge
+  // join (both sides ascend by bucket id).
+  std::vector<std::pair<const Entry*, const Entry*>> runs(probes.size());
+  const Entry* first = table.data();
+  const Entry* last = table.data();
+  const Entry* const table_end = table.data() + table.size();
+  for (size_t k = 0; k < probes.size(); ++k) {
+    const uint64_t bucket = probes[k].bucket;
+    if (k == 0 || bucket != probes[k - 1].bucket) {
+      first = last;
+      while (first != table_end && first->bucket < bucket) ++first;
+      last = first;
+      while (last != table_end && last->bucket == bucket) ++last;
+    }
+    runs[probes[k].pos] = {first, last};
+  }
 
-  // Banding (Lambert-W sizing).
-  index.num_bands_ =
-      ComputeNumBands(index.signature_size_, config.similarity_threshold);
-  index.rows_per_band_ = static_cast<int>(
-      (index.signature_size_ + static_cast<size_t>(index.num_bands_) - 1) /
-      static_cast<size_t>(index.num_bands_));
-
-  // Bucket tables, sharded over bands: each band hashes the right side into
-  // its own bucket map and records every left entity's bucket key. Bands
-  // are fully independent, and within a band rights are appended in Build()
-  // order, so the tables never depend on scheduling.
-  struct BandTable {
-    // bucket key -> right-side positions, in Build() order.
-    std::unordered_map<uint64_t, std::vector<uint32_t>> right_buckets;
-    // per left-entity index: its bucket key, or kNoBucket.
-    std::vector<uint64_t> left_key;
+  // Calls visit(u, v) for every left u in [begin, end) sharing a bucket id
+  // with right v, v ascending, so a left's list comes out ascending with
+  // duplicates (several shared bands) adjacent, whatever the partition.
+  const auto scan = [&](size_t begin, size_t end, auto&& visit) {
+    for (size_t v = 0; v < right.rows(); ++v) {
+      for (uint64_t j = right.offsets[v]; j < right.offsets[v + 1]; ++j) {
+        // A run ascends by left position.
+        const Entry* e = std::lower_bound(
+            runs[j].first, runs[j].second, begin,
+            [](const Entry& x, size_t u) { return x.pos < u; });
+        for (; e != runs[j].second && e->pos < end; ++e) {
+          visit(e->pos, static_cast<uint32_t>(v));
+        }
+      }
+    }
   };
-  std::vector<BandTable> bands(static_cast<size_t>(index.num_bands_));
+
+  // Parallel over contiguous left ranges: pass 1 counts each left's
+  // distinct rights, pass 2 writes them.
   ParallelFor(
-      static_cast<size_t>(index.num_bands_),
+      lefts,
       [&](size_t begin, size_t end, int) {
-        for (size_t band = begin; band < end; ++band) {
-          const size_t row_begin =
-              band * static_cast<size_t>(index.rows_per_band_);
-          const size_t row_end =
-              row_begin + static_cast<size_t>(index.rows_per_band_);
-          BandTable& table = bands[band];
-          table.left_key.assign(left.size(), kNoBucket);
-          uint64_t h;
-          for (size_t k = 0; k < left.size(); ++k) {
-            if (HashBand(left[k].signature, row_begin, row_end,
-                         config.hash_seed, &h)) {
-              table.left_key[k] = h % config.num_buckets;
-            }
-          }
-          for (size_t k = 0; k < right.size(); ++k) {
-            if (HashBand(right[k].signature, row_begin, row_end,
-                         config.hash_seed, &h)) {
-              table.right_buckets[h % config.num_buckets].push_back(
-                  static_cast<uint32_t>(k));
-            }
-          }
-        }
+        std::vector<uint32_t> seen(end - begin,
+                                   std::numeric_limits<uint32_t>::max());
+        scan(begin, end, [&](uint32_t u, uint32_t v) {
+          if (seen[u - begin] == v) return;
+          seen[u - begin] = v;
+          ++out.offsets[u + 1];
+        });
       },
       threads);
-
-  // Candidate gathering + de-duplication, sharded over left entities: each
-  // left entity unions its bucket's rights across bands (band order) and
-  // sorts/uniques its own list.
+  for (size_t u = 0; u < lefts; ++u) out.offsets[u + 1] += out.offsets[u];
+  out.values.resize(out.offsets.back());
   ParallelFor(
-      left.size(),
+      lefts,
       [&](size_t begin, size_t end, int) {
-        for (size_t k = begin; k < end; ++k) {
-          std::vector<uint32_t>& list = index.candidates_[k];
-          for (const BandTable& table : bands) {
-            const uint64_t key = table.left_key[k];
-            if (key == kNoBucket) continue;
-            const auto it = table.right_buckets.find(key);
-            if (it == table.right_buckets.end()) continue;
-            list.insert(list.end(), it->second.begin(), it->second.end());
-          }
-          std::sort(list.begin(), list.end());
-          list.erase(std::unique(list.begin(), list.end()), list.end());
-        }
+        std::vector<uint64_t> cursor(
+            out.offsets.begin() + static_cast<ptrdiff_t>(begin),
+            out.offsets.begin() + static_cast<ptrdiff_t>(end));
+        scan(begin, end, [&](uint32_t u, uint32_t v) {
+          uint64_t& k = cursor[u - begin];
+          const uint32_t value = right_base + v;
+          if (k > out.offsets[u] && out.values[k - 1] == value) return;
+          out.values[k++] = value;
+        });
       },
       threads);
-
-  // The candidate-pair total, in left-entity order.
-  for (const auto& list : index.candidates_) {
-    index.total_candidate_pairs_ += list.size();
-  }
-  return index;
-}
-
-std::vector<EntityId> LshIndex::CandidatesFor(EntityId u) const {
-  const uint32_t* pos = FindPosition(left_positions_, u);
-  if (pos == nullptr) return {};
-  std::vector<EntityId> out;
-  out.reserve(candidates_[*pos].size());
-  for (const uint32_t right_pos : candidates_[*pos]) {
-    out.push_back(right_[right_pos].entity);
-  }
   return out;
-}
-
-const LshSignature* LshIndex::LeftSignature(EntityId u) const {
-  const uint32_t* pos = FindPosition(left_positions_, u);
-  return pos == nullptr ? nullptr : &left_[*pos].signature;
-}
-
-const LshSignature* LshIndex::RightSignature(EntityId v) const {
-  const uint32_t* pos = FindPosition(right_positions_, v);
-  return pos == nullptr ? nullptr : &right_[*pos].signature;
 }
 
 }  // namespace slim

@@ -1,32 +1,37 @@
-// Banded LSH index over mobility-history signatures (paper Sec. 4).
+// Banded LSH over mobility-history signatures (paper Sec. 4).
 //
-// Signatures are split into b bands of r rows; each band is hashed into a
-// large bucket array, and a cross-dataset pair becomes a linkage candidate
-// when any band of the two signatures collides. The band count is derived
-// from the similarity threshold via the Lambert-W sizing (signature.h).
-// Placeholder rows are omitted from a band's hash; a band that is entirely
-// placeholders is not hashed at all (an empty band carries no evidence).
+// A signature (lsh/signature.h) is cut into b bands of r rows; each band
+// is hashed into one of num_buckets buckets, and a cross-dataset pair
+// becomes a linkage candidate when any band of the two signatures lands in
+// the same bucket. The band count is derived from the similarity threshold
+// via the Lambert-W sizing (signature.h). Placeholder (empty) steps are
+// omitted from a band's hash; a band that is entirely placeholders is not
+// hashed at all (an empty band carries no evidence).
 //
-// Storage is dense: signatures and candidate lists live in flat per-side
-// vectors addressed by entry position, with one sorted (entity -> position)
-// array per side backing the EntityId lookups — no per-entity hash maps.
+// Storage is sparse and flat. A hashed band is named by one bucket id,
+// band * num_buckets + hash % num_buckets, so "same band, same bucket" is
+// id equality. Each side keeps its entities' bucket ids as one CSR
+// (common/csr.h), ascending within an entity; empty bands store nothing,
+// and no structure is sized by num_buckets. GatherLshCandidates joins the
+// two sides through one sorted (bucket id, left position) table and writes
+// the candidate lists as one CSR.
 #ifndef SLIM_LSH_LSH_INDEX_H_
 #define SLIM_LSH_LSH_INDEX_H_
 
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
-#include "data/record.h"
+#include "common/csr.h"
 #include "lsh/signature.h"
 
 namespace slim {
 
 /// A fixed [lo, end) leaf-window range for the signature query grid.
-/// Candidate collisions are a pairwise predicate over band hashes, so an
-/// index built over a *subset* of one side, from signatures computed under
-/// the same span, produces exactly the full index's candidates restricted
-/// to that subset — the property the sharded linkage driver
+/// Candidate collisions are a pairwise predicate over bucket ids, so
+/// candidates gathered over a *subset* of one side, from bucket ids
+/// computed under the same span, are exactly the full set's candidates
+/// restricted to that subset — the property the sharded linkage driver
 /// (core/sharded.h) relies on.
 struct LshWindowSpan {
   int64_t lo = 0;
@@ -36,77 +41,34 @@ struct LshWindowSpan {
   bool operator==(const LshWindowSpan&) const = default;
 };
 
-/// Candidate-pair index between two sides (dataset E = left, I = right).
-class LshIndex {
- public:
-  /// One indexable history: the entity id plus its signature. Every
-  /// signature of both sides must come from one query grid (equal sizes,
-  /// aligned positions); core/candidates.h computes them from the CSR
-  /// history store.
-  struct Entry {
-    EntityId entity = 0;
-    LshSignature signature;
-  };
+/// The band layout of one query grid, and the band hash over it.
+struct LshBanding {
+  uint64_t signature_size = 0;  // s = ceil(span / step)
+  uint64_t num_bands = 0;       // b = ComputeNumBands(s, t)
+  uint64_t rows_per_band = 0;   // r = ceil(s / b)
+  uint64_t num_buckets = 1;
+  uint64_t hash_seed = 0;
 
-  /// Builds the index, taking ownership of both sides' signatures. Empty
-  /// sides are allowed.
-  ///
-  /// Construction is data-parallel over `threads` workers (<= 0 means the
-  /// library default; see common/parallel.h): bucket building shards over
-  /// bands, and candidate gathering + de-duplication shards over left
-  /// entities. Every merge is ordered (entity order, band order), so the
-  /// index is identical at every thread count.
-  static LshIndex Build(std::vector<Entry> side_e, std::vector<Entry> side_i,
-                        const LshConfig& config, int threads = 0);
+  /// The layout of `span` cut into steps of config.temporal_step_windows
+  /// leaf windows; zero bands for an empty span. Requires a config that
+  /// passes ValidateLshConfig.
+  static LshBanding Of(const LshWindowSpan& span, const LshConfig& config);
 
-  /// Sorted, de-duplicated right-side candidates for left entity `u`,
-  /// materialised as entity ids (empty when u collided with nothing or was
-  /// not indexed). Lists ascend by right-side Build() position, which is
-  /// ascending entity id whenever side_i was passed in ascending order (as
-  /// every pipeline caller does). Diagnostics/tests API — the hot path
-  /// uses CandidatePositionsAt.
-  std::vector<EntityId> CandidatesFor(EntityId u) const;
-
-  /// Candidates of the left entity at Build() position `left_pos`, as
-  /// right-side Build() positions — zero-conversion access for dense
-  /// callers (core/candidates.h, where positions are EntityIdx).
-  const std::vector<uint32_t>& CandidatePositionsAt(size_t left_pos) const {
-    return candidates_[left_pos];
-  }
-
-  /// Sum over left entities of their candidate count.
-  uint64_t total_candidate_pairs() const { return total_candidate_pairs_; }
-
-  size_t signature_size() const { return signature_size_; }
-  int num_bands() const { return num_bands_; }
-  int rows_per_band() const { return rows_per_band_; }
-
-  /// The signature indexed for a left/right entity (incremental reuse,
-  /// tests, diagnostics);
-  /// nullptr when the entity was not indexed.
-  const LshSignature* LeftSignature(EntityId u) const;
-  const LshSignature* RightSignature(EntityId v) const;
-
- private:
-  // Sorted (entity, Build position) pairs for one side.
-  using PositionIndex = std::vector<std::pair<EntityId, uint32_t>>;
-
-  static PositionIndex IndexPositions(const std::vector<Entry>& side);
-  static const uint32_t* FindPosition(const PositionIndex& index,
-                                      EntityId entity);
-
-  // Dense per-position storage, in Build() input order. Candidate lists
-  // hold right-side positions (indices into right_).
-  std::vector<std::vector<uint32_t>> candidates_;  // per left position
-  std::vector<Entry> left_;
-  std::vector<Entry> right_;
-  PositionIndex left_positions_;
-  PositionIndex right_positions_;
-  uint64_t total_candidate_pairs_ = 0;
-  size_t signature_size_ = 0;
-  int num_bands_ = 0;
-  int rows_per_band_ = 0;
+  /// Appends the bucket id of every band of `signature` that holds an
+  /// occupied step, in ascending band order (so ascending ids). Steps must
+  /// ascend and lie below signature_size.
+  void AppendBucketIds(std::span<const SignatureStep> signature,
+                       std::vector<uint64_t>* out) const;
 };
+
+/// For each left entity (a row of `left`), the right entities (rows of
+/// `right`) sharing at least one bucket id with it, as ascending,
+/// de-duplicated row positions plus `right_base`. Data-parallel over
+/// contiguous left chunks of `threads` workers (<= 0 means the library
+/// default; see common/parallel.h); identical at every thread count.
+Csr<uint32_t> GatherLshCandidates(const Csr<uint64_t>& left,
+                                  const Csr<uint64_t>& right,
+                                  uint32_t right_base, int threads = 0);
 
 }  // namespace slim
 

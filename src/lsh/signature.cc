@@ -2,22 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/check.h"
 #include "stats/lambert_w.h"
 
 namespace slim {
 
-double SignatureSimilarity(const LshSignature& a, const LshSignature& b) {
-  SLIM_CHECK_MSG(a.size() == b.size(), "signature size mismatch");
-  if (a.size() == 0) return 0.0;
-  size_t matches = 0;
-  for (size_t k = 0; k < a.size(); ++k) {
-    if (a.cells[k] != kSignaturePlaceholder && a.cells[k] == b.cells[k]) {
-      ++matches;
-    }
+Status ValidateLshConfig(const LshConfig& config, int leaf_level) {
+  const double t = config.similarity_threshold;
+  const int level = config.signature_spatial_level;
+  std::string bad;
+  if (config.num_buckets < 1 || config.num_buckets > kMaxLshBuckets) {
+    bad = "buckets (--lsh_buckets) must be in [1, 2^32]";
+  } else if (config.temporal_step_windows < 1) {
+    bad = "step (--lsh_step) must be >= 1";
+  } else if (!(t > 0.0 && t < 1.0)) {  // negated, so that NaN fails too
+    bad = "threshold (--lsh_threshold) must be in (0, 1)";
+  } else if (level < 0 || level > leaf_level) {
+    bad = "level (--lsh_level) must be in [0, " + std::to_string(leaf_level) +
+          "], the spatial level";
   }
-  return static_cast<double>(matches) / static_cast<double>(a.size());
+  return bad.empty() ? Status::Ok() : Status::InvalidArgument("LSH " + bad);
 }
 
 int ComputeNumBands(size_t signature_size, double threshold) {
@@ -26,9 +33,10 @@ int ComputeNumBands(size_t signature_size, double threshold) {
                  "threshold must be in (0, 1)");
   const double s = static_cast<double>(signature_size);
   const double b = std::exp(LambertW0(-s * std::log(threshold)));
-  const long rounded = std::lround(b);
-  return static_cast<int>(
-      std::clamp<long>(rounded, 1, static_cast<long>(signature_size)));
+  // Clamped in double first: a huge signature must not overflow the int.
+  const double max_bands =
+      std::min(s, static_cast<double>(std::numeric_limits<int>::max()));
+  return static_cast<int>(std::lround(std::clamp(b, 1.0, max_bands)));
 }
 
 double BandCollisionProbability(double t, int rows_per_band, int num_bands) {

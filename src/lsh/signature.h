@@ -2,32 +2,29 @@
 //
 // A history's signature is the list of its *dominating grid cells* — the
 // cell holding most of the entity's records — for a fixed series of
-// non-overlapping query time windows that span the same global period in
-// the same order for every history. Query windows with no records yield a
-// placeholder that is omitted from band hashing. Signature similarity is
-// the fraction of matching dominating cells. Signatures are computed from
-// the CSR history store by BuildSignature (core/candidates.h).
+// non-overlapping query time windows (steps) that span the same global
+// period in the same order for every history. Signatures are sparse: only
+// steps with records are listed, and an absent step is a placeholder that
+// band hashing omits (lsh/lsh_index.h). Signatures are computed from the
+// CSR history store by BuildSignature (core/candidates.h).
 #ifndef SLIM_LSH_SIGNATURE_H_
 #define SLIM_LSH_SIGNATURE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+
+#include "common/status.h"
 
 namespace slim {
 
-/// Placeholder raw cell value marking "no records in this query window".
-inline constexpr uint64_t kSignaturePlaceholder = 0;
+/// One occupied step of a signature: its position in the query grid and
+/// the raw id of its dominating cell. A signature is a step-ascending list
+/// of these.
+struct SignatureStep {
+  uint64_t step = 0;
+  uint64_t cell = 0;
 
-/// A history signature: raw cell ids (or placeholders), one per query
-/// window, in global query order.
-struct LshSignature {
-  std::vector<uint64_t> cells;
-
-  size_t size() const { return cells.size(); }
-  bool IsPlaceholder(size_t idx) const {
-    return cells[idx] == kSignaturePlaceholder;
-  }
+  bool operator==(const SignatureStep&) const = default;
 };
 
 /// LSH configuration (paper Sec. 4 / Sec. 5.3 defaults).
@@ -47,11 +44,15 @@ struct LshConfig {
   uint64_t hash_seed = 0x51f15e11aa5eed01ULL;
 };
 
-/// Fraction of signature positions with identical dominating cells, over
-/// the signature size (placeholder positions only match nothing — a
-/// position where either side is a placeholder does not count as a match).
-/// Requires equal sizes; empty signatures have similarity 0.
-double SignatureSimilarity(const LshSignature& a, const LshSignature& b);
+/// The largest num_buckets: bucket ids (lsh/lsh_index.h) pack the band and
+/// the bucket into one uint64_t.
+inline constexpr uint64_t kMaxLshBuckets = uint64_t{1} << 32;
+
+/// InvalidArgument unless num_buckets is in [1, kMaxLshBuckets],
+/// temporal_step_windows >= 1, similarity_threshold is in (0, 1) and
+/// signature_spatial_level is in [0, leaf_level] — the checks a tool runs on
+/// its LSH flags before reading any input.
+Status ValidateLshConfig(const LshConfig& config, int leaf_level);
 
 /// Number of bands b for signature size s and threshold t, per the paper:
 /// b = e^{W(-s ln t)} (rounded, clamped to [1, s]). Requires s >= 1 and

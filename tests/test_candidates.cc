@@ -96,31 +96,19 @@ TEST(LshCandidatesTest, MatchesTheUnderlyingLshIndex) {
                                           GridBlockingConfig{});
   EXPECT_EQ(gen->name(), "lsh");
 
-  // An independently built index must agree pair-for-pair after re-keying
-  // entity ids to dense indices.
+  // Candidates gathered directly from both sides' bucket ids must agree
+  // list for list.
   const LshWindowSpan span = GlobalWindowSpan(ctx);
-  std::vector<LshIndex::Entry> left, right;
+  const Csr<uint32_t> index = GatherLshCandidates(
+      BuildBucketIds(ctx.store_e, ctx.vocab, 0,
+                     static_cast<EntityIdx>(ctx.store_e.size()), span, lc, 1),
+      BuildBucketIds(ctx.store_i, ctx.vocab, 0,
+                     static_cast<EntityIdx>(ctx.store_i.size()), span, lc, 1),
+      0, 1);
+  EXPECT_EQ(gen->total_candidate_pairs(), index.values.size());
   for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
-    left.push_back({ctx.store_e.entity_id(u),
-                    BuildSignature(ctx.store_e, ctx.vocab, u, span,
-                                   lc.temporal_step_windows,
-                                   lc.signature_spatial_level)});
-  }
-  for (EntityIdx v = 0; v < ctx.store_i.size(); ++v) {
-    right.push_back({ctx.store_i.entity_id(v),
-                     BuildSignature(ctx.store_i, ctx.vocab, v, span,
-                                    lc.temporal_step_windows,
-                                    lc.signature_spatial_level)});
-  }
-  const LshIndex index = LshIndex::Build(std::move(left), std::move(right), lc);
-  EXPECT_EQ(gen->total_candidate_pairs(), index.total_candidate_pairs());
-  for (EntityIdx u = 0; u < ctx.store_e.size(); ++u) {
-    const auto& expected_ids = index.CandidatesFor(ctx.store_e.entity_id(u));
-    std::vector<EntityIdx> expected;
-    for (const EntityId v : expected_ids) {
-      expected.push_back(*ctx.store_i.IndexOf(v));
-    }
-    EXPECT_EQ(ToVector(gen->CandidatesFor(u)), expected) << "entity idx " << u;
+    EXPECT_EQ(ToVector(gen->CandidatesFor(u)), ToVector(index.row(u)))
+        << "entity idx " << u;
   }
 }
 

@@ -116,37 +116,20 @@ TEST(Determinism, LshIndexIsIdenticalAtEveryThreadCount) {
   const LinkageContext ctx =
       LinkageContext::Build(Sample().a, Sample().b, defaults.history, 1);
   const LshWindowSpan span = GlobalWindowSpan(ctx);
-  const auto entries = [&](const HistoryStore& store) {
-    std::vector<LshIndex::Entry> out;
-    for (EntityIdx u = 0; u < store.size(); ++u) {
-      out.push_back({store.entity_id(u),
-                     BuildSignature(store, ctx.vocab, u, span,
-                                    defaults.lsh.temporal_step_windows,
-                                    defaults.lsh.signature_spatial_level)});
-    }
-    return out;
+  const auto bucket_ids = [&](const HistoryStore& store, int threads) {
+    return BuildBucketIds(store, ctx.vocab, 0,
+                          static_cast<EntityIdx>(store.size()), span,
+                          defaults.lsh, threads);
   };
-  const std::vector<LshIndex::Entry> left = entries(ctx.store_e);
-  const std::vector<LshIndex::Entry> right = entries(ctx.store_i);
-
-  const LshIndex reference = LshIndex::Build(left, right, defaults.lsh, 1);
+  const Csr<uint64_t> left = bucket_ids(ctx.store_e, 1);
+  const Csr<uint64_t> right = bucket_ids(ctx.store_i, 1);
+  const Csr<uint32_t> reference = GatherLshCandidates(left, right, 0, 1);
+  ASSERT_GT(reference.values.size(), 0u);
   for (int threads : {2, 5, 8}) {
-    const LshIndex index = LshIndex::Build(left, right, defaults.lsh, threads);
-    EXPECT_EQ(index.total_candidate_pairs(),
-              reference.total_candidate_pairs())
+    EXPECT_EQ(bucket_ids(ctx.store_e, threads), left) << threads;
+    EXPECT_EQ(bucket_ids(ctx.store_i, threads), right) << threads;
+    EXPECT_EQ(GatherLshCandidates(left, right, 0, threads), reference)
         << threads;
-    EXPECT_EQ(index.signature_size(), reference.signature_size());
-    EXPECT_EQ(index.num_bands(), reference.num_bands());
-    for (const auto& entry : left) {
-      ASSERT_EQ(index.CandidatesFor(entry.entity),
-                reference.CandidatesFor(entry.entity))
-          << threads << " entity " << entry.entity;
-      const LshSignature* a = index.LeftSignature(entry.entity);
-      const LshSignature* b = reference.LeftSignature(entry.entity);
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(b, nullptr);
-      EXPECT_EQ(a->cells, b->cells);
-    }
   }
 }
 

@@ -69,5 +69,41 @@ TEST(Flags, NegativeNumbersViaEqualsForm) {
   EXPECT_DOUBLE_EQ(f.GetDouble("p", 0.0), -1.5);
 }
 
+TEST(LshFlags, DefaultsAreTheSharedOperatingPoint) {
+  const LshConfig lsh = LshFlags(Make({}), true, 12);
+  EXPECT_EQ(lsh.signature_spatial_level, 10);
+  EXPECT_EQ(lsh.temporal_step_windows, 8);
+  EXPECT_DOUBLE_EQ(lsh.similarity_threshold, 0.5);
+  EXPECT_EQ(lsh.num_buckets, 4096u);
+  EXPECT_EQ(LshFlags(Make({"--lsh_buckets=4294967296"}), true, 12).num_buckets,
+            kMaxLshBuckets);
+}
+
+TEST(LshFlags, BadValuesAreUsageErrors) {
+  const auto dies = [](const char* flag, const char* message) {
+    EXPECT_EXIT((void)LshFlags(Make({flag}), true, 12),
+                ::testing::ExitedWithCode(2), message)
+        << flag;
+  };
+  dies("--lsh_buckets=-5", "--lsh_buckets");
+  dies("--lsh_buckets=0", "--lsh_buckets");
+  dies("--lsh_buckets=4294967297", "--lsh_buckets");
+  dies("--lsh_step=0", "--lsh_step");
+  dies("--lsh_step=-1", "--lsh_step");
+  dies("--lsh_threshold=1.5", "--lsh_threshold");
+  dies("--lsh_threshold=0", "--lsh_threshold");
+  dies("--lsh_level=40", "--lsh_level");
+  dies("--lsh_level=13", "must be in \\[0, 12\\]");
+  dies("--lsh_level=-1", "--lsh_level");
+  dies("--lsh_level=4294967306", "--lsh_level");  // 2^32 + 10 must not wrap
+}
+
+TEST(LshFlags, UncheckedWhenLshDoesNotRun) {
+  // brute/grid ignore the LSH flags, so they are not checked.
+  EXPECT_EQ(LshFlags(Make({"--lsh_level=40"}), false, 12)
+                .signature_spatial_level,
+            40);
+}
+
 }  // namespace
 }  // namespace slim::tools

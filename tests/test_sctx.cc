@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -267,7 +268,9 @@ TEST_F(SctxTest, TrailingGarbageFails) {
 struct SctxOffsets {
   size_t spatial_level = 16;   // after magic, version, file_size
   size_t window_seconds = 24;  // after spatial_level and its pad
+  size_t vocab_windows = 96;   // after the header
   size_t vocab_cells = 0;
+  size_t windows_e = 0;
   size_t bin_offsets_e = 0;
   size_t bin_ids_e = 0;
 };
@@ -284,8 +287,9 @@ SctxOffsets OffsetsOf(const LinkageContext& ctx) {
   // Store E: entity ids, records, masks, idf and windows precede the
   // offsets; the two offset arrays, the window->bin map and the holder
   // counts precede the bin ids.
-  at.bin_offsets_e = at.vocab_cells + v * 8 + n * 8 * 2 +
-                     n * 8 * HistoryStore::kWindowMaskWords + v * 8 + tw * 8;
+  at.windows_e = at.vocab_cells + v * 8 + n * 8 * 2 +
+                 n * 8 * HistoryStore::kWindowMaskWords + v * 8;
+  at.bin_offsets_e = at.windows_e + tw * 8;
   at.bin_ids_e = at.bin_offsets_e + pad8((n + 1) * 4) * 2 +
                  pad8((tw + 1) * 4) + pad8(v * 4);
   return at;
@@ -369,6 +373,54 @@ TEST_F(SctxCorruption, VocabularyCellOffTheHeaderLevelFails) {
                           built.vocab.cell(0).Parent(4).raw());
       },
       "vocabulary cell");
+}
+
+TEST_F(SctxCorruption, EntityWindowOffItsBinsWindowFails) {
+  // Ascending still, but no longer the window of the bins listed under it.
+  ExpectRejected(
+      [](const LinkageContext& built, const SctxOffsets& at,
+         std::string* bytes) {
+        ASSERT_EQ(ReadAt<int64_t>(*bytes, at.windows_e),
+                  built.store_e.windows(0).front());
+        WriteAt<int64_t>(bytes, at.windows_e,
+                         std::numeric_limits<int64_t>::min());
+      },
+      "vocabulary window");
+  ExpectRejected(
+      [](const LinkageContext& built, const SctxOffsets& at,
+         std::string* bytes) {
+        const size_t last = at.bin_offsets_e - 8;
+        ASSERT_EQ(ReadAt<int64_t>(*bytes, last),
+                  built.store_e
+                      .windows(static_cast<EntityIdx>(built.store_e.size() - 1))
+                      .back());
+        WriteAt<int64_t>(bytes, last, std::numeric_limits<int64_t>::max());
+      },
+      "vocabulary window");
+}
+
+TEST_F(SctxCorruption, VocabularyWindowsTooFarApartFail) {
+  // The query grid over [INT64_MIN, w] or [w, INT64_MAX] cannot be sized
+  // without overflow; the check runs before any store is read.
+  ExpectRejected(
+      [](const LinkageContext& built, const SctxOffsets& at,
+         std::string* bytes) {
+        ASSERT_EQ(ReadAt<int64_t>(*bytes, at.vocab_windows),
+                  built.vocab.window(0));
+        WriteAt<int64_t>(bytes, at.vocab_windows,
+                         std::numeric_limits<int64_t>::min() + 5);
+      },
+      "too far apart");
+  ExpectRejected(
+      [](const LinkageContext& built, const SctxOffsets& at,
+         std::string* bytes) {
+        const size_t last = at.vocab_windows + (built.vocab.size() - 1) * 8;
+        ASSERT_EQ(ReadAt<int64_t>(*bytes, last),
+                  built.vocab.window(
+                      static_cast<BinId>(built.vocab.size() - 1)));
+        WriteAt<int64_t>(bytes, last, std::numeric_limits<int64_t>::max());
+      },
+      "too far apart");
 }
 
 // ---- A context built under another HistoryConfig is refused. ----

@@ -1,7 +1,6 @@
-// LSH signatures (paper Sec. 4): the CSR signature pass of
-// core/candidates.h pinned to a brute-force reference computed from the raw
-// records, plus the signature similarity and banding formulas of
-// lsh/signature.h.
+// LSH signatures (paper Sec. 4): the sparse CSR signature pass of
+// core/candidates.h pinned to a dense brute-force reference computed from
+// the raw records, plus the banding formulas of lsh/signature.h.
 #include "lsh/signature.h"
 
 #include <cmath>
@@ -31,18 +30,54 @@ HistoryConfig Config(int level = 12) {
   return c;
 }
 
+// A dense signature: one raw cell per query step, kPlaceholder for a step
+// without records.
+constexpr uint64_t kPlaceholder = 0;
+
+struct DenseSignature {
+  std::vector<uint64_t> cells;
+
+  size_t size() const { return cells.size(); }
+  bool IsPlaceholder(size_t q) const { return cells[q] == kPlaceholder; }
+};
+
+size_t NumSteps(const LshWindowSpan& span, int step) {
+  return span.empty() ? 0
+                      : static_cast<size_t>((span.end - span.lo + step - 1) /
+                                            step);
+}
+
+// BuildSignature of entity u, spread over the dense grid; the sparse form
+// must list ascending, in-grid, occupied steps.
+DenseSignature BuildDense(const HistoryStore& store, const BinVocabulary& vocab,
+                          EntityIdx u, const LshWindowSpan& span, int step,
+                          int level) {
+  DenseSignature sig;
+  sig.cells.assign(NumSteps(span, step), kPlaceholder);
+  uint64_t next = 0;
+  for (const SignatureStep& s :
+       BuildSignature(store, vocab, u, span, step, level)) {
+    EXPECT_GE(s.step, next) << "steps must ascend";
+    EXPECT_LT(s.step, sig.size());
+    EXPECT_NE(s.cell, kPlaceholder);
+    if (s.step >= sig.size()) break;
+    sig.cells[s.step] = s.cell;
+    next = s.step + 1;
+  }
+  return sig;
+}
+
 // The reference: for each query step, count every record's leaf cell(s)
 // lifted to `level` in a std::map and take the highest count, ties going
 // to the smaller cell. Computed from the raw records, independently of the
 // binning kernel and the CSR store.
-LshSignature ReferenceSignature(std::span<const Record> records,
+DenseSignature ReferenceSignature(std::span<const Record> records,
                                 const HistoryConfig& hc,
                                 const LshWindowSpan& span, int step,
                                 int level) {
-  LshSignature sig;
+  DenseSignature sig;
   if (span.empty()) return sig;
-  const int64_t steps = (span.end - span.lo + step - 1) / step;
-  std::vector<std::map<CellId, uint32_t>> counts(static_cast<size_t>(steps));
+  std::vector<std::map<CellId, uint32_t>> counts(NumSteps(span, step));
   for (const Record& r : records) {
     const int64_t q =
         (WindowIndexOf(r.timestamp, hc.window_seconds) - span.lo) / step;
@@ -58,7 +93,7 @@ LshSignature ReferenceSignature(std::span<const Record> records,
     }
   }
   for (const auto& step_counts : counts) {
-    uint64_t best = kSignaturePlaceholder;
+    uint64_t best = kPlaceholder;
     uint32_t best_count = 0;
     for (const auto& [cell, count] : step_counts) {
       if (count > best_count) {
@@ -82,9 +117,9 @@ void ExpectMatchesReference(const LocationDataset& a,
        {std::pair{&ctx.store_e, &a}, std::pair{&ctx.store_i, &b}}) {
     for (EntityIdx u = 0; u < store->size(); ++u) {
       const EntityId id = store->entity_id(u);
-      const LshSignature got =
-          BuildSignature(*store, ctx.vocab, u, span, step, level);
-      const LshSignature want =
+      const DenseSignature got =
+          BuildDense(*store, ctx.vocab, u, span, step, level);
+      const DenseSignature want =
           ReferenceSignature(dataset->RecordsOf(id), hc, span, step, level);
       ASSERT_EQ(got.cells, want.cells)
           << "entity " << id << " step " << step << " level " << level;
@@ -111,7 +146,7 @@ void AddVisits(LocationDataset* ds, EntityId entity,
 
 // The signature of entity 0 of a one-entity dataset over [lo, end),
 // checked against the reference on the way out.
-LshSignature SignatureOf(const std::vector<Visit>& visits, int64_t lo,
+DenseSignature SignatureOf(const std::vector<Visit>& visits, int64_t lo,
                          int64_t end, int step, int level) {
   LocationDataset ds("visits");
   AddVisits(&ds, 0, visits);
@@ -119,8 +154,8 @@ LshSignature SignatureOf(const std::vector<Visit>& visits, int64_t lo,
   const HistoryConfig hc = Config(visits.front().cell.level());
   const LinkageContext ctx = LinkageContext::Build(ds, ds, hc);
   const LshWindowSpan span{lo, end};
-  const LshSignature sig =
-      BuildSignature(ctx.store_e, ctx.vocab, 0, span, step, level);
+  const DenseSignature sig =
+      BuildDense(ctx.store_e, ctx.vocab, 0, span, step, level);
   EXPECT_EQ(sig.cells,
             ReferenceSignature(ds.RecordsOf(0), hc, span, step, level).cells);
   return sig;
@@ -131,7 +166,7 @@ TEST(Signature, PaperIllustrativeExample) {
   // "Circle" dominates query 1 for entity u (3 visits vs 2).
   const CellId circle = Cell(12, 100, 100);
   const CellId square = Cell(12, 200, 200);
-  const LshSignature sig = SignatureOf(
+  const DenseSignature sig = SignatureOf(
       {
           {0, circle, 1}, {0, square, 1}, {1, circle, 1}, {1, square, 1},
           {2, circle, 1},                                    // query 1: c=3,s=2
@@ -183,7 +218,7 @@ TEST(Signature, SparseWindowsLandInTheirSteps) {
   const CellId b = Cell(10, 6, 6);
   // Windows -100, 0 and 1000 over [-100, 1001) in steps of 100: step 0
   // holds -100, step 1 holds 0, step 11 holds 1000, the rest are empty.
-  const LshSignature sig =
+  const DenseSignature sig =
       SignatureOf({{-100, a, 1}, {0, b, 2}, {1000, a, 5}}, -100, 1001, 100,
                   10);
   ASSERT_EQ(sig.size(), 12u);
@@ -207,9 +242,9 @@ TEST(Signature, PartialLastStepIsQueried) {
   // [0, 10) in steps of 4: the last step covers windows 8 and 9 only.
   const CellId a = Cell(12, 1, 1);
   const CellId b = Cell(12, 2, 2);
-  const LshSignature sig =
+  const DenseSignature sig =
       SignatureOf({{0, a, 1}, {9, b, 2}, {9, a, 1}}, 0, 10, 4, 12);
-  EXPECT_EQ(sig.cells, (std::vector<uint64_t>{a.raw(), kSignaturePlaceholder,
+  EXPECT_EQ(sig.cells, (std::vector<uint64_t>{a.raw(), kPlaceholder,
                                               b.raw()}));
 }
 
@@ -218,11 +253,10 @@ TEST(Signature, QueriesAlignAcrossHistories) {
   // whose positions refer to the same query ranges.
   const CellId a = Cell(12, 1, 1);
   const CellId b = Cell(12, 2, 2);
-  const LshSignature s1 = SignatureOf({{0, a, 1}, {5, b, 1}}, 0, 6, 3, 12);
-  const LshSignature s2 = SignatureOf({{1, a, 1}, {4, b, 1}}, 0, 6, 3, 12);
+  const DenseSignature s1 = SignatureOf({{0, a, 1}, {5, b, 1}}, 0, 6, 3, 12);
+  const DenseSignature s2 = SignatureOf({{1, a, 1}, {4, b, 1}}, 0, 6, 3, 12);
   EXPECT_EQ(s1.cells, (std::vector<uint64_t>{a.raw(), b.raw()}));
   EXPECT_EQ(s2.cells, s1.cells);
-  EXPECT_DOUBLE_EQ(SignatureSimilarity(s1, s2), 1.0);
 }
 
 TEST(Signature, StepLargerThanSpanYieldsSingleQuery) {
@@ -243,8 +277,11 @@ TEST(Signature, EmptyEntityIsAllPlaceholders) {
   ctx.Compact();
   const EntityIdx empty = *ctx.store_e.IndexOf(7);
   ASSERT_EQ(ctx.store_e.num_bins(empty), 0u);
-  const LshSignature sig = BuildSignature(ctx.store_e, ctx.vocab, empty,
-                                          GlobalWindowSpan(ctx), 2, 12);
+  EXPECT_TRUE(BuildSignature(ctx.store_e, ctx.vocab, empty,
+                             GlobalWindowSpan(ctx), 2, 12)
+                  .empty());
+  const DenseSignature sig =
+      BuildDense(ctx.store_e, ctx.vocab, empty, GlobalWindowSpan(ctx), 2, 12);
   ASSERT_EQ(sig.size(), 5u);
   for (size_t q = 0; q < sig.size(); ++q) EXPECT_TRUE(sig.IsPlaceholder(q));
 }
@@ -314,26 +351,6 @@ TEST(Signature, MatchesReferenceForRegionRecords) {
   HistoryConfig hc = Config(14);
   hc.region_radius_meters = 1500.0;
   for (const int level : {10, 14}) ExpectMatchesReference(a, b, hc, 4, level);
-}
-
-TEST(Signature, SimilarityCountsMatchingPositions) {
-  LshSignature a{{1, 2, 3, 4}};
-  LshSignature b{{1, 9, 3, 8}};
-  EXPECT_DOUBLE_EQ(SignatureSimilarity(a, b), 0.5);
-  EXPECT_DOUBLE_EQ(SignatureSimilarity(a, a), 1.0);
-}
-
-TEST(Signature, PlaceholdersNeverMatch) {
-  LshSignature a{{kSignaturePlaceholder, 2}};
-  LshSignature b{{kSignaturePlaceholder, 2}};
-  // Only position 1 counts; the shared placeholder is not evidence.
-  EXPECT_DOUBLE_EQ(SignatureSimilarity(a, b), 0.5);
-}
-
-TEST(Signature, SimilarityDiesOnSizeMismatch) {
-  LshSignature a{{1, 2}};
-  LshSignature b{{1}};
-  EXPECT_DEATH(SignatureSimilarity(a, b), "mismatch");
 }
 
 TEST(Banding, NumBandsMatchesLambertSizing) {

@@ -3,13 +3,17 @@
 #ifndef SLIM_TOOLS_FLAGS_H_
 #define SLIM_TOOLS_FLAGS_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/strings.h"
+#include "lsh/signature.h"
 
 namespace slim::tools {
 
@@ -76,6 +80,32 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// Reads the --lsh_level/--lsh_step/--lsh_threshold/--lsh_buckets flags
+/// with the defaults slim_link and slim_serve share. When the LSH generator
+/// runs (`check`), ValidateLshConfig checks them against the history leaf
+/// level first, and a bad value is a usage error.
+inline LshConfig LshFlags(const Flags& flags, bool check, int leaf_level) {
+  // Clamped, never wrapped: -5 buckets must not become 2^64 - 5.
+  const auto get = [&](const char* key, int64_t def, int64_t lo, int64_t hi) {
+    return std::clamp<int64_t>(flags.GetInt(key, def), lo, hi);
+  };
+  constexpr int64_t kIntMin = std::numeric_limits<int>::min();
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  LshConfig lsh;
+  lsh.signature_spatial_level =
+      static_cast<int>(get("lsh_level", 10, kIntMin, kIntMax));
+  lsh.temporal_step_windows =
+      static_cast<int>(get("lsh_step", 8, kIntMin, kIntMax));
+  lsh.similarity_threshold = flags.GetDouble("lsh_threshold", 0.5);
+  lsh.num_buckets = static_cast<size_t>(
+      get("lsh_buckets", 4096, 0, std::numeric_limits<int64_t>::max()));
+  if (check) {
+    const Status st = ValidateLshConfig(lsh, leaf_level);
+    if (!st.ok()) Flags::Fail(st.message());
+  }
+  return lsh;
+}
 
 }  // namespace slim::tools
 

@@ -124,27 +124,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  slim::DatasetIoOptions io;
-  auto format = slim::ParseDatasetFormat(flags.GetString("format", "auto"));
-  if (!format.ok()) slim::tools::Flags::Fail(format.status().ToString());
-  io.format = *format;
-  io.io_threads = static_cast<int>(flags.GetInt("io_threads", 0));
-
-  auto a = slim::ReadDataset(path_a, "A", io);
-  if (!a.ok()) slim::tools::Flags::Fail(a.status().ToString());
-  auto b = slim::ReadDataset(path_b, "B", io);
-  if (!b.ok()) slim::tools::Flags::Fail(b.status().ToString());
-
-  const size_t min_records =
-      static_cast<size_t>(flags.GetInt("min_records", 6));
-  if (min_records > 0) {
-    a->FilterMinRecords(min_records);
-    b->FilterMinRecords(min_records);
-  }
-  std::fprintf(stderr, "A: %zu entities / %zu records; B: %zu / %zu\n",
-               a->num_entities(), a->num_records(), b->num_entities(),
-               b->num_records());
-
   slim::SlimConfig config;
   config.history.window_seconds = flags.GetInt("window_minutes", 15) * 60;
   config.history.spatial_level =
@@ -185,13 +164,12 @@ int main(int argc, char** argv) {
                              " is not supported by this CPU");
   }
   config.similarity.kernel = *kernel;
-  config.lsh.signature_spatial_level =
-      static_cast<int>(flags.GetInt("lsh_level", 10));
-  config.lsh.temporal_step_windows =
-      static_cast<int>(flags.GetInt("lsh_step", 8));
-  config.lsh.similarity_threshold = flags.GetDouble("lsh_threshold", 0.5);
-  config.lsh.num_buckets =
-      static_cast<size_t>(flags.GetInt("lsh_buckets", 4096));
+  // --auto_tune picks the leaf level later and lowers the signature level
+  // to it, so only the coarsest bound applies here.
+  const bool auto_tune = flags.GetBool("auto_tune", false);
+  config.lsh = slim::tools::LshFlags(
+      flags, config.candidates == slim::CandidateKind::kLsh,
+      auto_tune ? slim::CellId::kMaxLevel : config.history.spatial_level);
   config.threads = static_cast<int>(flags.GetInt("threads", 0));
   config.shards = static_cast<int>(flags.GetInt("shards", 0));
   config.left_shards = static_cast<int>(flags.GetInt("left_shards", 0));
@@ -235,7 +213,29 @@ int main(int argc, char** argv) {
     slim::tools::Flags::Fail("unknown --matcher: " + matcher);
   }
 
-  if (flags.GetBool("auto_tune", false)) {
+  // The flags are parsed; now read the inputs.
+  slim::DatasetIoOptions io;
+  auto format = slim::ParseDatasetFormat(flags.GetString("format", "auto"));
+  if (!format.ok()) slim::tools::Flags::Fail(format.status().ToString());
+  io.format = *format;
+  io.io_threads = static_cast<int>(flags.GetInt("io_threads", 0));
+
+  auto a = slim::ReadDataset(path_a, "A", io);
+  if (!a.ok()) slim::tools::Flags::Fail(a.status().ToString());
+  auto b = slim::ReadDataset(path_b, "B", io);
+  if (!b.ok()) slim::tools::Flags::Fail(b.status().ToString());
+
+  const size_t min_records =
+      static_cast<size_t>(flags.GetInt("min_records", 6));
+  if (min_records > 0) {
+    a->FilterMinRecords(min_records);
+    b->FilterMinRecords(min_records);
+  }
+  std::fprintf(stderr, "A: %zu entities / %zu records; B: %zu / %zu\n",
+               a->num_entities(), a->num_records(), b->num_entities(),
+               b->num_records());
+
+  if (auto_tune) {
     slim::TuningOptions tuning;
     tuning.window_seconds = config.history.window_seconds;
     auto level = slim::AutoTuneSpatialLevelForPair(*a, *b, tuning);

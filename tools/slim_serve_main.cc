@@ -205,13 +205,9 @@ int main(int argc, char** argv) {
   config.candidates = *candidates;
   // Same defaults as slim_link, so a daemon session and a from-scratch
   // batch run agree byte for byte without extra flags (docs/SERVING.md).
-  config.lsh.signature_spatial_level =
-      static_cast<int>(flags.GetInt("lsh_level", 10));
-  config.lsh.temporal_step_windows =
-      static_cast<int>(flags.GetInt("lsh_step", 8));
-  config.lsh.similarity_threshold = flags.GetDouble("lsh_threshold", 0.5);
-  config.lsh.num_buckets =
-      static_cast<size_t>(flags.GetInt("lsh_buckets", 4096));
+  config.lsh = slim::tools::LshFlags(
+      flags, config.candidates == slim::CandidateKind::kLsh,
+      config.history.spatial_level);
   const std::string matcher = flags.GetString("matcher", "greedy");
   if (matcher == "hungarian") {
     config.matcher = slim::MatcherKind::kHungarian;
