@@ -3,7 +3,9 @@
 // similarity scoring, LSH candidate generation, matching, and the GMM fit.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 #include "slim.h"
 
@@ -195,6 +197,39 @@ void BM_ContextBuild(benchmark::State& state) {
                           static_cast<int64_t>(ds.num_records()));
 }
 BENCHMARK(BM_ContextBuild)->Arg(8)->Arg(32);
+
+// The INGEST layer: 1024-record appends, in time order as a stream
+// arrives, into a context already holding the first half of the records,
+// then the one Compact that folds them in.
+void BM_AppendCompact(benchmark::State& state) {
+  const LocationDataset ds = BenchCab(static_cast<int>(state.range(0)));
+  std::vector<Record> records = ds.records();
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) {
+              return a.timestamp != b.timestamp ? a.timestamp < b.timestamp
+                                                : a.entity < b.entity;
+            });
+  const size_t half = records.size() / 2;
+  LinkageContext base;
+  base.AppendRecords(LinkageSide::kE, {records.data(), half});
+  base.AppendRecords(LinkageSide::kI, {records.data(), half});
+  base.Compact();
+  constexpr size_t kBatch = 1024;
+  for (auto _ : state) {
+    state.PauseTiming();
+    LinkageContext ctx = base;
+    state.ResumeTiming();
+    for (size_t k = half; k < records.size(); k += kBatch) {
+      ctx.AppendRecords(LinkageSide::kE,
+                        {records.data() + k,
+                         std::min(kBatch, records.size() - k)});
+    }
+    benchmark::DoNotOptimize(ctx.Compact());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(records.size() - half));
+}
+BENCHMARK(BM_AppendCompact)->Arg(8)->Arg(32);
 
 void BM_SimilarityScorePair(benchmark::State& state) {
   const LocationDataset ds = BenchCab(16);

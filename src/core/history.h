@@ -4,9 +4,9 @@
 // bins: the leaf windows of a temporal partitioning, each holding the set
 // of spatial grid cells the entity visited in that window (with record
 // counts). This header holds the resolution of that representation and the
-// binning kernel; the histories themselves, with the dataset-level
-// statistics the similarity score needs (bin IDF, Eq. 3; length
-// normalisation, Eq. 2), live in the dense HistoryStore
+// reference binning of one entity; the histories themselves, with the
+// dataset-level statistics the similarity score needs (bin IDF, Eq. 3;
+// length normalisation, Eq. 2), live in the dense HistoryStore
 // (core/linkage_context.h).
 #ifndef SLIM_CORE_HISTORY_H_
 #define SLIM_CORE_HISTORY_H_
@@ -47,8 +47,8 @@ struct HistoryConfig {
 };
 
 /// Groups one entity's records into time-location bins, sorted by
-/// (window, cell) with per-bin record counts. This is the binning kernel
-/// behind the dense HistoryStore (core/linkage_context.h).
+/// (window, cell) with per-bin record counts: the histories by definition,
+/// which the tests hold the context builder (core/linkage_context.h) to.
 std::vector<TimeLocationBin> GroupRecordsIntoBins(
     std::span<const Record> records, const HistoryConfig& config);
 

@@ -18,14 +18,16 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Sorted-set membership flags over a store's current entity order.
+// Membership flags of the sorted `appended` ids over a store's (sorted)
+// entity order.
 std::vector<uint8_t> DirtyFlags(const HistoryStore& store,
-                                const std::set<EntityId>& dirty) {
+                                std::span<const EntityId> appended) {
   std::vector<uint8_t> flags(store.size(), 0);
-  for (const EntityId id : dirty) {
-    if (const auto idx = store.IndexOf(id); idx.has_value()) {
-      flags[*idx] = 1;
-    }
+  const FlatArray<EntityId>& ids = store.entity_ids();
+  size_t k = 0;
+  for (const EntityId id : appended) {
+    while (k < ids.size() && ids[k] < id) ++k;
+    if (k < ids.size() && ids[k] == id) flags[k] = 1;
   }
   return flags;
 }
@@ -48,16 +50,11 @@ IncrementalLinker::IncrementalLinker(SlimConfig config)
 
 void IncrementalLinker::Ingest(LinkageSide side,
                                std::span<const Record> records) {
-  if (records.empty()) return;
-  std::set<EntityId>& dirty = side == LinkageSide::kE ? dirty_e_ : dirty_i_;
-  for (const Record& r : records) dirty.insert(r.entity);
-  const LinkageContext::AppendSummary summary =
-      ctx_.AppendRecords(side, records);
-  structural_pending_ |= summary.new_entities || summary.new_bins;
+  ctx_.AppendRecords(side, records);
   (side == LinkageSide::kE ? pending_records_e_ : pending_records_i_) +=
-      summary.records;
+      records.size();
   (side == LinkageSide::kE ? total_records_e_ : total_records_i_) +=
-      summary.records;
+      records.size();
 }
 
 Result<EpochResult> IncrementalLinker::LinkEpoch() {
@@ -67,18 +64,17 @@ Result<EpochResult> IncrementalLinker::LinkEpoch() {
 
   EpochResult out;
   out.incremental.appended_records = pending_records_e_ + pending_records_i_;
-  // Epoch 1 and any epoch after structural growth re-score everything;
-  // pure count-increment epochs reuse every pair not touching an
-  // appended entity (see the invalidation contract in the header).
-  const bool all_dirty = structural_pending_ || epoch_ == 0;
-  out.incremental.rescored_all = all_dirty;
-
   LinkageResult& result = out.linkage;
   result.candidates_used = config_.candidates;
 
   // 1. Fold buffered appends into the dense context.
   auto t0 = std::chrono::steady_clock::now();
-  ctx_.Compact(threads);
+  const LinkageContext::CompactReport appended = ctx_.Compact(threads);
+  // Epoch 1 and any epoch after structural growth re-score everything;
+  // pure count-increment epochs reuse every pair not touching an
+  // appended entity (see the invalidation contract in the header).
+  const bool all_dirty = appended.structural() || epoch_ == 0;
+  out.incremental.rescored_all = all_dirty;
   result.seconds_histories = SecondsSince(t0);
   result.rss_peak_histories = CurrentPeakRssBytes();
   result.possible_pairs = static_cast<uint64_t>(ctx_.store_e.size()) *
@@ -87,9 +83,6 @@ Result<EpochResult> IncrementalLinker::LinkEpoch() {
   const auto seal_bookkeeping = [&] {
     ++epoch_;
     out.epoch = epoch_;
-    dirty_e_.clear();
-    dirty_i_.clear();
-    structural_pending_ = false;
     pending_records_e_ = pending_records_i_ = 0;
     // Link delta versus the previous epoch, by full (u, v, score) triple
     // (both lists are (u, v)-sorted and pair-unique).
@@ -143,7 +136,7 @@ Result<EpochResult> IncrementalLinker::LinkEpoch() {
     const LshWindowSpan span = GlobalWindowSpan(ctx_);
     const bool reuse = lsh_span_ == span;
     const auto side_buckets = [&](const HistoryStore& store,
-                                  const std::set<EntityId>& dirty,
+                                  std::span<const EntityId> dirty,
                                   const SideBuckets& prev) {
       const std::vector<uint8_t> fresh = DirtyFlags(store, dirty);
       const auto carry = [&](EntityIdx u, std::vector<uint64_t>* ids) {
@@ -166,8 +159,8 @@ Result<EpochResult> IncrementalLinker::LinkEpoch() {
                                         static_cast<EntityIdx>(store.size()),
                                         span, config_.lsh, threads, carry)};
     };
-    lsh_e_ = side_buckets(ctx_.store_e, dirty_e_, lsh_e_);
-    lsh_i_ = side_buckets(ctx_.store_i, dirty_i_, lsh_i_);
+    lsh_e_ = side_buckets(ctx_.store_e, appended.e.appended, lsh_e_);
+    lsh_i_ = side_buckets(ctx_.store_i, appended.i.appended, lsh_i_);
     lsh_span_ = span;
     generator = MakeLshCandidates(lsh_e_.buckets, lsh_i_.buckets, 0, 0,
                                   threads);
@@ -185,8 +178,10 @@ Result<EpochResult> IncrementalLinker::LinkEpoch() {
   t0 = std::chrono::steady_clock::now();
   const SimilarityEngine engine(ctx_, config_.similarity);
   const size_t lefts = ctx_.store_e.size();
-  const std::vector<uint8_t> dirty_e_flags = DirtyFlags(ctx_.store_e, dirty_e_);
-  const std::vector<uint8_t> dirty_i_flags = DirtyFlags(ctx_.store_i, dirty_i_);
+  const std::vector<uint8_t> dirty_e_flags =
+      DirtyFlags(ctx_.store_e, appended.e.appended);
+  const std::vector<uint8_t> dirty_i_flags =
+      DirtyFlags(ctx_.store_i, appended.i.appended);
   std::vector<ScoreRow> new_rows(lefts);
   std::vector<SimilarityStats> shard_stats(static_cast<size_t>(threads));
   std::vector<uint64_t> shard_scored(static_cast<size_t>(threads), 0);

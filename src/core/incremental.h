@@ -2,9 +2,9 @@
 //
 // The batch pipeline (core/slim.h) links two frozen datasets from
 // scratch. IncrementalLinker keeps one LinkageContext alive across
-// *epochs*: Ingest() buffers record appends (new events for existing
-// entities, or entirely new entities, on either side) and LinkEpoch()
-// folds them in — vocabulary intern + store compaction
+// *epochs*: Ingest() appends the records' flat keys to the context
+// (new events for existing entities, or entirely new entities, on either
+// side) and LinkEpoch() folds them in with LinkageContext::Compact
 // (core/linkage_context.h) — then re-runs candidates, scoring, matching,
 // and the GMM stop threshold over the merged problem.
 //
@@ -22,8 +22,9 @@
 //     on existing (entity, bin) pairs (no new entities — |U| and thus
 //     every IDF value would shift; no new bins — avg|H| and thus every
 //     length norm would shift), and neither endpoint was appended to.
-//     Any structural growth marks the whole cache stale
-//     (LinkageContext::AppendSummary).
+//     Any structural growth marks the whole cache stale. Compact reports
+//     both the growth and the appended entities
+//     (LinkageContext::CompactReport).
 //   * LSH bucket-id reuse. An entity's bucket ids are a pure function of
 //     its bins and the query grid (core/candidates.h), so the ids of
 //     un-appended entities carry over even through epochs that re-score
@@ -45,7 +46,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -129,9 +129,7 @@ class IncrementalLinker {
   LinkageContext ctx_;
   int epoch_ = 0;
 
-  // Dirty state accumulated by Ingest, consumed by LinkEpoch.
-  bool structural_pending_ = false;
-  std::set<EntityId> dirty_e_, dirty_i_;
+  // Records appended since the last LinkEpoch, and in total.
   uint64_t pending_records_e_ = 0, pending_records_i_ = 0;
   uint64_t total_records_e_ = 0, total_records_i_ = 0;
 

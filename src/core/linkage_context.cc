@@ -2,149 +2,376 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <tuple>
 #include <utility>
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "common/radix_sort.h"
 #include "core/score_kernel.h"
+#include "geo/covering.h"
+#include "temporal/time_window.h"
 
 namespace slim {
-namespace {
 
-// One side's per-entity binning product, before interning.
-struct SideBins {
-  std::vector<std::vector<TimeLocationBin>> bins;  // per entity, sorted
-  std::vector<uint64_t> total_records;
-};
-
-}  // namespace
-
-// Fills HistoryStore's private CSR arrays; the only construction path.
-class HistoryStoreBuilder {
+// The stages of LinkageContext::Compact; the only construction path of
+// the vocabulary and the stores.
+class ContextBuilder {
  public:
-  static void Fill(const LocationDataset& dataset, const BinVocabulary& vocab,
-                   SideBins&& side, int threads, HistoryStore* store);
-  // Shared CSR construction from per-entity ascending (BinId, count)
-  // lists: fills every flat array of `store` except entity_ids_ and
-  // total_records_ (the caller owns those). Both the batch build and
-  // HistoryStore::Compact funnel through here, so an append-then-compact
-  // store is field-for-field the batch store over the merged records.
-  static void BuildCsr(
-      const BinVocabulary& vocab,
-      const std::vector<std::vector<std::pair<BinId, uint32_t>>>& entities,
-      int threads, HistoryStore* store);
+  using Key = LinkageContext::PendingKey;
+  using SideReport = LinkageContext::CompactReport::Side;
+
+  static LinkageContext::CompactReport Compact(LinkageContext* ctx,
+                                               int threads);
+
+ private:
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+  // Order-preserving map of a signed key word onto an unsigned one.
+  static uint64_t Biased(int64_t v) {
+    return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
+  }
+  static std::vector<uint32_t> BinOrder(const std::vector<Key>& keys,
+                                        int threads);
+  static std::vector<BinId> MergeVocabulary(
+      std::vector<Key>* keys_e, std::span<const uint32_t> order_e,
+      std::vector<Key>* keys_i, std::span<const uint32_t> order_i,
+      BinVocabulary* vocab);
+  static void SortByEntity(std::vector<Key>* keys, int threads);
+  static SideReport MergeStore(std::vector<Key>* keys,
+                               std::span<const BinId> remap,
+                               const BinVocabulary& vocab, int threads,
+                               HistoryStore* store);
+  static void FinishStore(const BinVocabulary& vocab,
+                          std::vector<EntityId> ids,
+                          std::vector<uint64_t> total_records,
+                          std::vector<uint32_t> bin_offsets,
+                          std::vector<BinId> bin_ids,
+                          std::vector<uint32_t> bin_counts, int threads,
+                          HistoryStore* store);
 };
 
-namespace {
-
-SideBins BinSide(const LocationDataset& dataset, const HistoryConfig& config,
-                 int threads) {
-  const std::vector<EntityId>& ids = dataset.entity_ids();
-  SideBins side;
-  side.bins.resize(ids.size());
-  side.total_records.resize(ids.size());
-  ParallelFor(
-      ids.size(),
-      [&](size_t begin, size_t end, int) {
-        for (size_t k = begin; k < end; ++k) {
-          const auto records = dataset.RecordsOf(ids[k]);
-          side.bins[k] = GroupRecordsIntoBins(records, config);
-          side.total_records[k] = records.size();
-        }
-      },
-      threads);
-  return side;
+LinkageContext::CompactReport ContextBuilder::Compact(LinkageContext* ctx,
+                                                      int threads) {
+  LinkageContext::CompactReport report;
+  if (!ctx->has_pending()) return report;
+  // Each side's key positions in (window, cell) order, for the vocabulary
+  // merge, which replaces each key's cell by its BinId. Sorting positions
+  // instead of keys keeps the extra memory at 8 bytes a key.
+  const size_t old_bins = ctx->vocab.size();
+  const std::vector<BinId> remap =
+      MergeVocabulary(&ctx->pending_e_, BinOrder(ctx->pending_e_, threads),
+                      &ctx->pending_i_, BinOrder(ctx->pending_i_, threads),
+                      &ctx->vocab);
+  const bool vocab_grew = ctx->vocab.size() != old_bins;
+  for (std::vector<Key>* keys : {&ctx->pending_e_, &ctx->pending_i_}) {
+    SortByEntity(keys, threads);
+  }
+  const std::tuple<std::vector<Key>*, HistoryStore*, SideReport*> sides[] = {
+      {&ctx->pending_e_, &ctx->store_e, &report.e},
+      {&ctx->pending_i_, &ctx->store_i, &report.i}};
+  for (const auto& [keys, store, side] : sides) {
+    // A side without pending keys still rebuilds when the vocabulary
+    // grew: its BinIds renumber and its per-bin arrays resize.
+    if (!keys->empty() || vocab_grew) {
+      *side = MergeStore(keys, remap, ctx->vocab, threads, store);
+    }
+    std::vector<Key>().swap(*keys);
+  }
+  return report;
 }
 
-}  // namespace
+// Positions of `keys`, ordered by (window, cell).
+std::vector<uint32_t> ContextBuilder::BinOrder(const std::vector<Key>& keys,
+                                               int threads) {
+  SLIM_CHECK_MSG(keys.size() < kNone, "more than 2^32 pending keys");
+  std::vector<uint32_t> order(keys.size()), scratch;
+  for (size_t k = 0; k < order.size(); ++k) {
+    order[k] = static_cast<uint32_t>(k);
+  }
+  RadixSort(
+      &order, &scratch, 2,
+      [&keys](uint32_t k, int word) {
+        return word == 0 ? keys[k].cell : Biased(keys[k].window);
+      },
+      threads);
+  return order;
+}
 
-// Fills one store from its side's binning product. The vocabulary must
-// already cover every bin of the side.
-void HistoryStoreBuilder::Fill(const LocationDataset& dataset,
-                               const BinVocabulary& vocab, SideBins&& side,
-                               int threads, HistoryStore* store) {
-  const size_t n = dataset.entity_ids().size();
-  store->entity_ids_ = dataset.entity_ids();
-  store->total_records_ = std::move(side.total_records);
+// Merges both sides' keys, visited in (window, cell) order, into the
+// sorted vocabulary in one linear pass, and overwrites each key's cell
+// with its BinId. Returns the old-id -> new-id remap, strictly increasing,
+// or an empty remap when no bin is new (the vocabulary is then left
+// untouched, so a mapped vocabulary stays mapped).
+std::vector<BinId> ContextBuilder::MergeVocabulary(
+    std::vector<Key>* keys_e, std::span<const uint32_t> order_e,
+    std::vector<Key>* keys_i, std::span<const uint32_t> order_i,
+    BinVocabulary* vocab) {
+  const size_t base = vocab->windows_.size();
+  std::vector<int64_t> windows;
+  std::vector<CellId> cells;
+  std::vector<BinId> remap(base);
+  windows.reserve(base);
+  cells.reserve(base);
+  // (window, cell raw) heads of the three sorted inputs; a valid cell's
+  // raw id has its top bit clear, so kEnd sorts after every bin.
+  using Bin = std::pair<int64_t, uint64_t>;
+  constexpr Bin kEnd{std::numeric_limits<int64_t>::max(),
+                     std::numeric_limits<uint64_t>::max()};
+  const auto head = [&kEnd](const std::vector<Key>& keys,
+                            std::span<const uint32_t> order, size_t k) {
+    return k < order.size() ? Bin{keys[order[k]].window, keys[order[k]].cell}
+                            : kEnd;
+  };
+  size_t b = 0, e = 0, i = 0;
+  for (;;) {
+    const Bin base_head =
+        b < base ? Bin{vocab->windows_[b], vocab->cells_[b].raw()} : kEnd;
+    const Bin bin = std::min(
+        {base_head, head(*keys_e, order_e, e), head(*keys_i, order_i, i)});
+    if (bin == kEnd) break;
+    SLIM_CHECK_MSG(windows.size() < std::numeric_limits<BinId>::max(),
+                   "bin vocabulary exceeds 2^32 entries");
+    const BinId id = static_cast<BinId>(windows.size());
+    windows.push_back(bin.first);
+    cells.push_back(CellId::FromRaw(bin.second));
+    if (base_head == bin) remap[b++] = id;
+    for (; head(*keys_e, order_e, e) == bin; ++e) {
+      (*keys_e)[order_e[e]].cell = id;
+    }
+    for (; head(*keys_i, order_i, i) == bin; ++i) {
+      (*keys_i)[order_i[i]].cell = id;
+    }
+  }
+  if (windows.size() == base) return {};
+  vocab->windows_ = std::move(windows);
+  vocab->cells_ = std::move(cells);
+  return remap;
+}
 
-  // Intern each entity's (window, cell)-sorted bins into an ascending
-  // BinId list (vocabulary ids share that order); the shared CSR builder
-  // does the rest.
-  std::vector<std::vector<std::pair<BinId, uint32_t>>> entities(n);
+// Sorts one side's keys by (entity, BinId) and folds equal neighbours into
+// one key. Keys appended from records in entity and time order (a
+// finalized dataset) arrive sorted by (entity, window), and then only each
+// (entity, window) run needs its BinIds sorted, in place; other orders
+// take a radix sort.
+void ContextBuilder::SortByEntity(std::vector<Key>* keys, int threads) {
+  const auto before = [](const Key& a, const Key& b) {
+    return a.entity != b.entity ? a.entity < b.entity : a.window < b.window;
+  };
+  if (std::is_sorted(keys->begin(), keys->end(), before)) {
+    for (size_t begin = 0, end = 0; begin < keys->size(); begin = end) {
+      end = begin + 1;
+      while (end < keys->size() && !before((*keys)[begin], (*keys)[end])) {
+        ++end;
+      }
+      if (end - begin > 1) {
+        std::sort(keys->begin() + static_cast<ptrdiff_t>(begin),
+                  keys->begin() + static_cast<ptrdiff_t>(end),
+                  [](const Key& a, const Key& b) { return a.cell < b.cell; });
+      }
+    }
+  } else {
+    std::vector<Key> scratch;
+    RadixSort(
+        keys, &scratch, 2,
+        [](const Key& k, int word) {
+          return word == 0 ? k.cell : Biased(k.entity);
+        },
+        threads);
+  }
+  size_t kept = 0;
+  for (const Key& key : *keys) {
+    if (kept > 0 && (*keys)[kept - 1].entity == key.entity &&
+        (*keys)[kept - 1].cell == key.cell) {
+      (*keys)[kept - 1].count += key.count;
+      (*keys)[kept - 1].records += key.records;
+    } else {
+      (*keys)[kept++] = key;
+    }
+  }
+  keys->resize(kept);
+}
+
+// Merges one side's keys — sorted by (entity, BinId), one per pair — into
+// its store: each appended entity's delta merges with its renumbered base
+// span, untouched entities renumber theirs, and FinishStore derives the
+// rest. Linear in the store plus the keys.
+ContextBuilder::SideReport ContextBuilder::MergeStore(
+    std::vector<Key>* keys, std::span<const BinId> remap,
+    const BinVocabulary& vocab, int threads, HistoryStore* store) {
+  SideReport report;
+  // Entity runs of the keys: run r is keys[run_start[r], run_start[r+1]).
+  std::vector<size_t> run_start;
+  for (size_t k = 0; k < keys->size(); ++k) {
+    if (k == 0 || (*keys)[k].entity != (*keys)[k - 1].entity) {
+      run_start.push_back(k);
+      report.appended.push_back((*keys)[k].entity);
+    }
+  }
+  run_start.push_back(keys->size());
+
+  // The merged sorted entity list, each with its old index and run.
+  const size_t old_n = store->size();
+  const size_t runs = report.appended.size();
+  std::vector<EntityId> ids;
+  std::vector<uint32_t> old_of, run_of;
+  ids.reserve(old_n + runs);
+  old_of.reserve(old_n + runs);
+  run_of.reserve(old_n + runs);
+  const std::span<const EntityId> old_ids = store->entity_ids().span();
+  const std::span<const EntityId> new_ids = report.appended;
+  for (size_t o = 0, r = 0; o < old_n || r < runs;) {
+    const bool take_old =
+        o < old_n && (r == runs || old_ids[o] <= new_ids[r]);
+    const bool take_run =
+        r < runs && (o == old_n || new_ids[r] <= old_ids[o]);
+    if (take_run && !take_old) report.structural = true;  // a new entity
+    ids.push_back(take_old ? old_ids[o] : new_ids[r]);
+    old_of.push_back(take_old ? static_cast<uint32_t>(o++) : kNone);
+    run_of.push_back(take_run ? static_cast<uint32_t>(r++) : kNone);
+  }
+  const size_t n = ids.size();
+  SLIM_CHECK_MSG(n < kNone, "history store exceeds 2^32 entities");
+
+  // Calls emit(bin, count, new_to_entity) for entity k's merged history,
+  // bins ascending.
+  const auto merge = [&](size_t k, auto&& emit) {
+    std::span<const BinId> bins;
+    std::span<const uint32_t> counts;
+    if (old_of[k] != kNone) {
+      bins = store->bins(old_of[k]);
+      counts = store->counts(old_of[k]);
+    }
+    const Key* d = keys->data();
+    const Key* d_end = keys->data();
+    if (run_of[k] != kNone) {
+      d += run_start[run_of[k]];
+      d_end += run_start[run_of[k] + 1];
+    }
+    size_t j = 0;
+    while (j < bins.size() || d != d_end) {
+      const BinId old_bin = j == bins.size()  ? kNone
+                            : remap.empty() ? bins[j]
+                                            : remap[bins[j]];
+      const BinId new_bin = d == d_end ? kNone : static_cast<BinId>(d->cell);
+      if (old_bin < new_bin) {
+        emit(old_bin, counts[j++], false);
+      } else if (new_bin < old_bin) {
+        emit(new_bin, d->count, true);
+        ++d;
+      } else {
+        emit(old_bin, counts[j++] + d->count, false);
+        ++d;
+      }
+    }
+  };
+
+  // Pass 1 sizes every merged history and totals its records; pass 2
+  // writes the histories into the flat arrays.
+  std::vector<uint32_t> bin_offsets(n + 1, 0);
+  std::vector<uint64_t> total_records(n, 0);
+  std::vector<uint8_t> new_bin(n, 0);
   ParallelFor(
       n,
       [&](size_t begin, size_t end, int) {
         for (size_t k = begin; k < end; ++k) {
-          const auto& bins = side.bins[k];
-          auto& out = entities[k];
-          out.reserve(bins.size());
-          for (const TimeLocationBin& bin : bins) {
-            const auto id = vocab.Find(bin.window, bin.cell);
-            SLIM_CHECK_MSG(id.has_value(), "bin missing from vocabulary");
-            out.emplace_back(*id, bin.record_count);
+          uint32_t size = 0;
+          merge(k, [&](BinId, uint32_t, bool fresh) {
+            ++size;
+            new_bin[k] |= static_cast<uint8_t>(fresh);
+          });
+          bin_offsets[k + 1] = size;
+          uint64_t records =
+              old_of[k] == kNone ? 0 : store->total_records(old_of[k]);
+          if (run_of[k] != kNone) {
+            for (size_t p = run_start[run_of[k]];
+                 p < run_start[run_of[k] + 1]; ++p) {
+              records += (*keys)[p].records;
+            }
           }
+          total_records[k] = records;
         }
       },
       threads);
-  BuildCsr(vocab, entities, threads, store);
-}
-
-void HistoryStoreBuilder::BuildCsr(
-    const BinVocabulary& vocab,
-    const std::vector<std::vector<std::pair<BinId, uint32_t>>>& entities,
-    int threads, HistoryStore* store) {
-  const size_t n = entities.size();
-  // Built into locals and assigned at the end: compaction may be
-  // rebuilding a store whose previous arrays are read-only SCTX views,
-  // and those must stay readable while we merge out of them.
-  std::vector<uint32_t> bin_offsets(n + 1, 0);
-  std::vector<uint32_t> window_offsets(n + 1, 0);
-
-  // CSR offsets from per-entity bin counts (exclusive prefix sums), then a
-  // parallel fill into the pre-sized flat arrays. Offsets are 32-bit;
-  // guard the total before summing into them (the vocabulary has the
-  // matching guard on distinct bins).
-  uint64_t total_bins64 = 0;
-  for (const auto& bins : entities) total_bins64 += bins.size();
-  SLIM_CHECK_MSG(total_bins64 <= UINT32_MAX,
-                 "history store exceeds 2^32 bin occurrences");
+  uint64_t total_bins = 0;
   for (size_t k = 0; k < n; ++k) {
-    const auto& bins = entities[k];
-    bin_offsets[k + 1] = bin_offsets[k] + static_cast<uint32_t>(bins.size());
-    uint32_t entity_windows = 0;
-    for (size_t i = 0; i < bins.size(); ++i) {
-      if (i == 0 ||
-          vocab.window(bins[i].first) != vocab.window(bins[i - 1].first)) {
-        ++entity_windows;
-      }
-    }
-    window_offsets[k + 1] = window_offsets[k] + entity_windows;
+    total_bins += bin_offsets[k + 1];
+    SLIM_CHECK_MSG(total_bins <= std::numeric_limits<uint32_t>::max(),
+                   "history store exceeds 2^32 bin occurrences");
+    bin_offsets[k + 1] = static_cast<uint32_t>(total_bins);
+    if (old_of[k] != kNone && new_bin[k] != 0) report.structural = true;
   }
-  const size_t total_bins = bin_offsets[n];
-  const size_t total_windows = window_offsets[n];
   std::vector<BinId> bin_ids(total_bins);
   std::vector<uint32_t> bin_counts(total_bins);
+  ParallelFor(
+      n,
+      [&](size_t begin, size_t end, int) {
+        for (size_t k = begin; k < end; ++k) {
+          uint32_t pos = bin_offsets[k];
+          merge(k, [&](BinId bin, uint32_t count, bool) {
+            bin_ids[pos] = bin;
+            bin_counts[pos] = count;
+            ++pos;
+          });
+        }
+      },
+      threads);
+  FinishStore(vocab, std::move(ids), std::move(total_records),
+              std::move(bin_offsets), std::move(bin_ids),
+              std::move(bin_counts), threads, store);
+  return report;
+}
+
+// Derives a store's window index, fingerprints, quantized counts and
+// per-bin statistics from its histories, and installs every array. The
+// previous arrays (possibly read-only SCTX views) are replaced only here,
+// after everything that reads them has run.
+void ContextBuilder::FinishStore(const BinVocabulary& vocab,
+                                 std::vector<EntityId> ids,
+                                 std::vector<uint64_t> total_records,
+                                 std::vector<uint32_t> bin_offsets,
+                                 std::vector<BinId> bin_ids,
+                                 std::vector<uint32_t> bin_counts,
+                                 int threads, HistoryStore* store) {
+  const size_t n = ids.size();
+  const size_t total_bins = bin_ids.size();
+  // Window CSR offsets from per-entity distinct-window counts, then a
+  // parallel fill.
+  std::vector<uint32_t> window_offsets(n + 1, 0);
+  ParallelFor(
+      n,
+      [&](size_t begin, size_t end, int) {
+        for (size_t k = begin; k < end; ++k) {
+          uint32_t count = 0;
+          for (uint32_t p = bin_offsets[k]; p < bin_offsets[k + 1]; ++p) {
+            if (p == bin_offsets[k] ||
+                vocab.window(bin_ids[p]) != vocab.window(bin_ids[p - 1])) {
+              ++count;
+            }
+          }
+          window_offsets[k + 1] = count;
+        }
+      },
+      threads);
+  for (size_t k = 0; k < n; ++k) window_offsets[k + 1] += window_offsets[k];
+  const size_t total_windows = window_offsets[n];
   std::vector<int64_t> windows(total_windows);
   std::vector<uint32_t> window_bin_begin(total_windows + 1);
   window_bin_begin[total_windows] = static_cast<uint32_t>(total_bins);
   std::vector<uint64_t> window_masks(n * HistoryStore::kWindowMaskWords, 0);
-
   ParallelFor(
       n,
       [&](size_t begin, size_t end, int) {
         for (size_t k = begin; k < end; ++k) {
-          const auto& bins = entities[k];
-          uint32_t bin_pos = bin_offsets[k];
           uint32_t win_pos = window_offsets[k];
           uint64_t* mask =
               window_masks.data() + k * HistoryStore::kWindowMaskWords;
-          for (size_t i = 0; i < bins.size(); ++i) {
-            const int64_t window = vocab.window(bins[i].first);
-            bin_ids[bin_pos] = bins[i].first;
-            bin_counts[bin_pos] = bins[i].second;
-            if (i == 0 || window != vocab.window(bins[i - 1].first)) {
+          for (uint32_t p = bin_offsets[k]; p < bin_offsets[k + 1]; ++p) {
+            const int64_t window = vocab.window(bin_ids[p]);
+            if (p == bin_offsets[k] || window != vocab.window(bin_ids[p - 1])) {
               windows[win_pos] = window;
-              window_bin_begin[win_pos] = bin_pos;
+              window_bin_begin[win_pos] = p;
               ++win_pos;
               // Fingerprint bit (window mod 512); the unsigned cast keeps
               // pre-epoch (negative) windows consistent on both stores.
@@ -152,7 +379,6 @@ void HistoryStoreBuilder::BuildCsr(
               mask[(w >> 6) & (HistoryStore::kWindowMaskWords - 1)] |=
                   uint64_t{1} << (w & 63);
             }
-            ++bin_pos;
           }
         }
       },
@@ -168,19 +394,28 @@ void HistoryStoreBuilder::BuildCsr(
   // distinct, so every occurrence is one holder) and the IDF array.
   std::vector<uint32_t> bin_entity_counts(vocab.size(), 0);
   std::vector<double> idf(vocab.size());
-  for (const BinId b : bin_ids) ++bin_entity_counts[b];
+  uint32_t max_holders = 0;
+  for (const BinId b : bin_ids) {
+    max_holders = std::max(max_holders, ++bin_entity_counts[b]);
+  }
   if (n > 0) {
+    // Holder counts repeat (most bins have a few holders), so each
+    // distinct count's IDF is computed once; 0 holders get log(|U|).
     const double dn = static_cast<double>(n);
-    const double max_idf = std::log(dn);
+    std::vector<double> idf_of(max_holders + 1);
+    idf_of[0] = std::log(dn);
+    for (uint32_t h = 1; h <= max_holders; ++h) {
+      idf_of[h] = std::log(dn / static_cast<double>(h));
+    }
     for (size_t b = 0; b < vocab.size(); ++b) {
-      const uint32_t holders = bin_entity_counts[b];
-      idf[b] =
-          holders == 0 ? max_idf : std::log(dn / static_cast<double>(holders));
+      idf[b] = idf_of[bin_entity_counts[b]];
     }
   }
   store->avg_bins_ =
       n == 0 ? 0.0
              : static_cast<double>(total_bins) / static_cast<double>(n);
+  store->entity_ids_ = std::move(ids);
+  store->total_records_ = std::move(total_records);
   store->bin_offsets_ = std::move(bin_offsets);
   store->window_offsets_ = std::move(window_offsets);
   store->bin_ids_ = std::move(bin_ids);
@@ -192,7 +427,6 @@ void HistoryStoreBuilder::BuildCsr(
   store->bin_entity_counts_ = std::move(bin_entity_counts);
   store->idf_ = std::move(idf);
 }
-
 
 std::optional<BinId> BinVocabulary::Find(int64_t window, CellId cell) const {
   // Lower bound over the (window, cell-raw)-sorted parallel arrays.
@@ -212,99 +446,6 @@ std::optional<BinId> BinVocabulary::Find(int64_t window, CellId cell) const {
   return std::nullopt;
 }
 
-BinVocabulary BinVocabulary::Build(
-    const std::vector<std::vector<TimeLocationBin>>& side_e,
-    const std::vector<std::vector<TimeLocationBin>>& side_i) {
-  std::vector<std::pair<int64_t, CellId>> keys;
-  size_t total = 0;
-  for (const auto& bins : side_e) total += bins.size();
-  for (const auto& bins : side_i) total += bins.size();
-  keys.reserve(total);
-  for (const auto* side : {&side_e, &side_i}) {
-    for (const auto& bins : *side) {
-      for (const TimeLocationBin& bin : bins) {
-        keys.emplace_back(bin.window, bin.cell);
-      }
-    }
-  }
-  std::sort(keys.begin(), keys.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  SLIM_CHECK_MSG(keys.size() <= static_cast<size_t>(UINT32_MAX),
-                 "bin vocabulary exceeds 2^32 entries");
-
-  BinVocabulary vocab;
-  std::vector<int64_t>& windows = vocab.windows_.owned();
-  std::vector<CellId>& cells = vocab.cells_.owned();
-  windows.reserve(keys.size());
-  cells.reserve(keys.size());
-  for (const auto& [window, cell] : keys) {
-    windows.push_back(window);
-    cells.push_back(cell);
-  }
-  return vocab;
-}
-
-BinId BinVocabulary::Intern(int64_t window, CellId cell, bool* created) {
-  if (created != nullptr) *created = false;
-  if (const auto found = Find(window, cell); found.has_value()) return *found;
-  const auto key = std::make_pair(window, cell);
-  if (const auto it = pending_.find(key); it != pending_.end()) {
-    return it->second;
-  }
-  const size_t id = windows_.size() + pending_.size();
-  SLIM_CHECK_MSG(id < static_cast<size_t>(UINT32_MAX),
-                 "bin vocabulary exceeds 2^32 entries");
-  pending_.emplace(key, static_cast<BinId>(id));
-  if (created != nullptr) *created = true;
-  return static_cast<BinId>(id);
-}
-
-std::vector<BinId> BinVocabulary::Compact() {
-  const size_t base = windows_.size();
-  std::vector<BinId> remap(base + pending_.size());
-  if (pending_.empty()) {
-    for (size_t b = 0; b < base; ++b) remap[b] = static_cast<BinId>(b);
-    return remap;
-  }
-  // Linear merge of the sorted base arrays with the (key-sorted) pending
-  // map. Base and pending keys are disjoint (Intern checks Find first),
-  // and base ids keep their relative order, so the remap restricted to
-  // base ids is strictly increasing.
-  std::vector<int64_t> windows;
-  std::vector<CellId> cells;
-  windows.reserve(remap.size());
-  cells.reserve(remap.size());
-  size_t i = 0;
-  auto it = pending_.begin();
-  while (i < base || it != pending_.end()) {
-    const bool take_base =
-        it == pending_.end() ||
-        (i < base && (windows_[i] < it->first.first ||
-                      (windows_[i] == it->first.first &&
-                       cells_[i] < it->first.second)));
-    const BinId out = static_cast<BinId>(windows.size());
-    if (take_base) {
-      remap[i] = out;
-      windows.push_back(windows_[i]);
-      cells.push_back(cells_[i]);
-      ++i;
-    } else {
-      remap[it->second] = out;
-      windows.push_back(it->first.first);
-      cells.push_back(it->first.second);
-      ++it;
-    }
-  }
-  windows_ = std::move(windows);
-  cells_ = std::move(cells);
-  pending_.clear();
-  return remap;
-}
-
 std::optional<EntityIdx> HistoryStore::IndexOf(EntityId entity) const {
   const auto it =
       std::lower_bound(entity_ids_.begin(), entity_ids_.end(), entity);
@@ -319,120 +460,6 @@ double HistoryStore::LengthNorm(EntityIdx u, double b) const {
   return (1.0 - b) + b * rel;
 }
 
-void HistoryStore::Append(
-    EntityId entity, std::span<const std::pair<BinId, uint32_t>> delta_bins,
-    uint64_t record_count) {
-  PendingAppend& pending = pending_[entity];
-  pending.bins.insert(pending.bins.end(), delta_bins.begin(),
-                      delta_bins.end());
-  pending.records += record_count;
-}
-
-void HistoryStore::Compact(const BinVocabulary& vocab,
-                           std::span<const BinId> remap, int threads) {
-  // Merged sorted entity-id list (old ids are sorted; pending_ iterates
-  // in id order).
-  const size_t old_n = entity_ids_.size();
-  std::vector<EntityId> merged_ids;
-  merged_ids.reserve(old_n + pending_.size());
-  {
-    size_t i = 0;
-    auto it = pending_.begin();
-    while (i < old_n || it != pending_.end()) {
-      if (it == pending_.end() ||
-          (i < old_n && entity_ids_[i] < it->first)) {
-        merged_ids.push_back(entity_ids_[i++]);
-      } else {
-        if (i < old_n && entity_ids_[i] == it->first) ++i;
-        merged_ids.push_back(it->first);
-        ++it;
-      }
-    }
-  }
-  const size_t n = merged_ids.size();
-
-  // Per-entity merged ascending (BinId, count) lists in the new id space.
-  // Renumber + sort + duplicate-sum each delta, then merge-sum it with
-  // the renumbered base span: exactly the bins a batch
-  // GroupRecordsIntoBins over the union of the entity's records produces
-  // (per-(window, cell) record counting is a commutative fold).
-  std::vector<std::vector<std::pair<BinId, uint32_t>>> entities(n);
-  std::vector<uint64_t> total_records(n, 0);
-  ParallelFor(
-      n,
-      [&](size_t begin, size_t end, int) {
-        for (size_t k = begin; k < end; ++k) {
-          const EntityId id = merged_ids[k];
-          const auto old_idx = IndexOf(id);
-          const auto pit = pending_.find(id);
-          auto& out = entities[k];
-          if (pit == pending_.end()) {
-            // Untouched entity: renumber the existing span (stays
-            // ascending — the base remap is strictly increasing).
-            const auto base_bins = bins(*old_idx);
-            const auto base_counts = counts(*old_idx);
-            out.reserve(base_bins.size());
-            for (size_t i = 0; i < base_bins.size(); ++i) {
-              out.emplace_back(remap[base_bins[i]], base_counts[i]);
-            }
-            total_records[k] = total_records_[*old_idx];
-            continue;
-          }
-          std::vector<std::pair<BinId, uint32_t>> delta;
-          delta.reserve(pit->second.bins.size());
-          for (const auto& [b, c] : pit->second.bins) {
-            delta.emplace_back(remap[b], c);
-          }
-          std::sort(delta.begin(), delta.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.first < b.first;
-                    });
-          size_t w = 0;
-          for (size_t i = 0; i < delta.size(); ++i) {
-            if (w > 0 && delta[w - 1].first == delta[i].first) {
-              delta[w - 1].second += delta[i].second;
-            } else {
-              delta[w++] = delta[i];
-            }
-          }
-          delta.resize(w);
-          if (old_idx.has_value()) {
-            const auto base_bins = bins(*old_idx);
-            const auto base_counts = counts(*old_idx);
-            out.reserve(base_bins.size() + delta.size());
-            size_t i = 0, j = 0;
-            while (i < base_bins.size() || j < delta.size()) {
-              if (j == delta.size() ||
-                  (i < base_bins.size() &&
-                   remap[base_bins[i]] < delta[j].first)) {
-                out.emplace_back(remap[base_bins[i]], base_counts[i]);
-                ++i;
-              } else if (i == base_bins.size() ||
-                         delta[j].first < remap[base_bins[i]]) {
-                out.push_back(delta[j]);
-                ++j;
-              } else {
-                out.emplace_back(remap[base_bins[i]],
-                                 base_counts[i] + delta[j].second);
-                ++i;
-                ++j;
-              }
-            }
-            total_records[k] = total_records_[*old_idx] + pit->second.records;
-          } else {
-            out = std::move(delta);
-            total_records[k] = pit->second.records;
-          }
-        }
-      },
-      threads);
-
-  entity_ids_ = std::move(merged_ids);
-  total_records_ = std::move(total_records);
-  pending_.clear();
-  HistoryStoreBuilder::BuildCsr(vocab, entities, threads, this);
-}
-
 LinkageContext LinkageContext::Build(const LocationDataset& dataset_e,
                                      const LocationDataset& dataset_i,
                                      const HistoryConfig& config,
@@ -441,79 +468,62 @@ LinkageContext LinkageContext::Build(const LocationDataset& dataset_e,
                  "datasets must be finalized");
   LinkageContext ctx;
   ctx.config = config;
+  ctx.AppendRecords(LinkageSide::kE, dataset_e.records());
   if (&dataset_e == &dataset_i) {
-    // Symmetric context (the auto-tuner's case): bin and intern once, copy
-    // the finished store instead of rebuilding it.
-    SideBins bins = BinSide(dataset_e, config, threads);
-    ctx.vocab = BinVocabulary::Build(bins.bins, {});
-    HistoryStoreBuilder::Fill(dataset_e, ctx.vocab, std::move(bins), threads,
-                              &ctx.store_e);
+    // Symmetric context (the auto-tuner's case): build one side and copy
+    // the finished store.
+    ctx.Compact(threads);
     ctx.store_i = ctx.store_e;
     return ctx;
   }
-  SideBins bins_e = BinSide(dataset_e, config, threads);
-  SideBins bins_i = BinSide(dataset_i, config, threads);
-  ctx.vocab = BinVocabulary::Build(bins_e.bins, bins_i.bins);
-  HistoryStoreBuilder::Fill(dataset_e, ctx.vocab, std::move(bins_e), threads,
-                            &ctx.store_e);
-  HistoryStoreBuilder::Fill(dataset_i, ctx.vocab, std::move(bins_i), threads,
-                            &ctx.store_i);
+  ctx.AppendRecords(LinkageSide::kI, dataset_i.records());
+  ctx.Compact(threads);
   return ctx;
 }
 
-LinkageContext::AppendSummary LinkageContext::AppendRecords(
-    LinkageSide side, std::span<const Record> records) {
-  AppendSummary summary;
-  summary.records = records.size();
-  HistoryStore& store = side == LinkageSide::kE ? store_e : store_i;
-  // Deterministic per-entity grouping of the (arbitrarily ordered) batch.
-  std::map<EntityId, std::vector<Record>> by_entity;
-  for (const Record& r : records) by_entity[r.entity].push_back(r);
-  summary.entities = by_entity.size();
-  std::vector<std::pair<BinId, uint32_t>> delta;
-  for (const auto& [entity, recs] : by_entity) {
-    const std::vector<TimeLocationBin> bins =
-        GroupRecordsIntoBins(recs, config);
-    const auto idx = store.IndexOf(entity);
-    if (!idx.has_value()) summary.new_entities = true;
-    delta.clear();
-    delta.reserve(bins.size());
-    for (const TimeLocationBin& bin : bins) {
-      bool created = false;
-      const BinId id = vocab.Intern(bin.window, bin.cell, &created);
-      if (created) {
-        summary.new_bins = true;
-      } else if (idx.has_value() && id < vocab.size()) {
-        const auto span = store.bins(*idx);
-        if (!std::binary_search(span.begin(), span.end(), id)) {
-          summary.new_bins = true;
-        }
+void LinkageContext::AppendRecords(LinkageSide side,
+                                   std::span<const Record> records) {
+  SLIM_CHECK_MSG(config.spatial_level >= 0 &&
+                     config.spatial_level <= CellId::kMaxLevel,
+                 "invalid spatial level");
+  SLIM_CHECK_MSG(config.window_seconds > 0, "invalid window width");
+  std::vector<PendingKey>& keys =
+      side == LinkageSide::kE ? pending_e_ : pending_i_;
+  if (keys.empty()) keys.reserve(records.size());
+  const auto push = [&keys](EntityId entity, int64_t window, CellId cell,
+                            uint32_t first) {
+    if (!keys.empty()) {
+      PendingKey& last = keys.back();
+      if (last.entity == entity && last.window == window &&
+          last.cell == cell.raw()) {
+        ++last.count;
+        last.records += first;
+        return;
       }
-      delta.emplace_back(id, bin.record_count);
     }
-    store.Append(entity, delta, recs.size());
+    keys.push_back({entity, window, cell.raw(), 1, first});
+  };
+  for (const Record& r : records) {
+    const int64_t window = WindowIndexOf(r.timestamp, config.window_seconds);
+    if (config.region_radius_meters > 0.0) {
+      // Region record: one key per intersecting leaf cell, the record
+      // counted once.
+      uint32_t first = 1;
+      for (const CellId cell :
+           CellsCoveringDisc(r.location, config.region_radius_meters,
+                             config.spatial_level)) {
+        push(r.entity, window, cell, first);
+        first = 0;
+      }
+    } else {
+      push(r.entity, window,
+           CellId::FromLatLng(r.location, config.spatial_level), 1);
+    }
   }
-  return summary;
 }
 
-bool LinkageContext::has_pending() const {
-  return vocab.has_pending() || store_e.has_pending() ||
-         store_i.has_pending();
-}
-
-void LinkageContext::Compact(int threads) {
-  if (!has_pending()) return;
-  const bool vocab_changed = vocab.has_pending();
-  const std::vector<BinId> remap = vocab.Compact();
-  // A store with no buffered deltas still needs recompaction when the
-  // vocabulary grew: its BinIds renumber and its per-bin statistic arrays
-  // (IDF, holder counts) resize.
-  if (vocab_changed || store_e.has_pending()) {
-    store_e.Compact(vocab, remap, threads);
-  }
-  if (vocab_changed || store_i.has_pending()) {
-    store_i.Compact(vocab, remap, threads);
-  }
+LinkageContext::CompactReport LinkageContext::Compact(int threads) {
+  return ContextBuilder::Compact(this, threads);
 }
 
 }  // namespace slim

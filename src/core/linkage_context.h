@@ -16,10 +16,14 @@
 //   LinkageContext — the vocabulary plus the two stores; the input to the
 //                    similarity engine and every CandidateGenerator.
 //
-// Construction is data-parallel over entities and deterministic: BinIds
-// are assigned in (window, cell) order, so a history's bin span is sorted
-// by BinId exactly as GroupRecordsIntoBins (core/history.h) sorts its
-// bins.
+// One builder makes every context: AppendRecords turns each record into
+// flat (entity, window, cell) keys, and Compact radix-sorts the pending
+// keys' positions by bin, merges the bins into the vocabulary, sorts the
+// keys by entity and merges them into the stores. LinkageContext::Build
+// is that same append-then-compact over two datasets. BinIds are
+// assigned in (window, cell) order, so a history's bin span is sorted by
+// BinId exactly as GroupRecordsIntoBins (core/history.h) sorts its bins,
+// and the result is identical at every thread count.
 //
 // Every flat array lives in a FlatArray<T> (common/flat_array.h): the
 // build path owns plain vectors, while a context loaded from an SCTX file
@@ -30,7 +34,6 @@
 #define SLIM_CORE_LINKAGE_CONTEXT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -52,7 +55,7 @@ using BinId = uint32_t;
 /// store's sorted entity-id list.
 using EntityIdx = uint32_t;
 
-class HistoryStoreBuilder;
+class ContextBuilder;
 class SctxIo;
 
 /// The shared (window, cell) -> BinId interning over both datasets.
@@ -67,40 +70,13 @@ class BinVocabulary {
   /// not found.
   std::optional<BinId> Find(int64_t window, CellId cell) const;
 
-  /// BinId of (window, cell), interning a pending bin when absent.
-  /// Pending bins carry provisional ids in [size(), size() +
-  /// pending_size()), assigned in first-intern order; they are invisible
-  /// to size()/window()/cell()/Find() until Compact() folds them into the
-  /// (window, cell)-sorted id space. `created` (optional) reports whether
-  /// this call interned a bin unseen by both the compacted vocabulary and
-  /// the pending set.
-  BinId Intern(int64_t window, CellId cell, bool* created = nullptr);
-  bool has_pending() const { return !pending_.empty(); }
-  size_t pending_size() const { return pending_.size(); }
-
-  /// Merges pending bins into the sorted id space and returns the
-  /// old-id -> new-id remap covering both compacted and provisional ids
-  /// (an identity map when nothing is pending). The remap is strictly
-  /// increasing over the old compacted ids, so any remapped ascending bin
-  /// span stays ascending.
-  std::vector<BinId> Compact();
-
-  /// Builds the vocabulary from per-side bin lists (each inner vector is
-  /// one entity's (window, cell)-sorted bins). Exposed for tests; the
-  /// pipeline uses LinkageContext::Build.
-  static BinVocabulary Build(
-      const std::vector<std::vector<TimeLocationBin>>& side_e,
-      const std::vector<std::vector<TimeLocationBin>>& side_i);
-
  private:
-  friend class SctxIo;  // serialisation + mapped views (core/sctx.cc)
+  friend class ContextBuilder;  // construction (linkage_context.cc)
+  friend class SctxIo;          // serialisation + mapped views (core/sctx.cc)
 
   // Parallel arrays indexed by BinId, sorted by (window, cell raw).
   FlatArray<int64_t> windows_;
   FlatArray<CellId> cells_;
-  // Bins interned since the last Compact(), keyed by (window, cell) so
-  // compaction order is deterministic; values are provisional ids.
-  std::map<std::pair<int64_t, CellId>, BinId> pending_;
 };
 
 /// One dataset's histories in a flat CSR layout plus the dataset-level
@@ -177,32 +153,11 @@ class HistoryStore {
   /// Total records of entity u.
   uint64_t total_records(EntityIdx u) const { return total_records_[u]; }
 
-  /// Buffers an append for `entity`, which may be new to the store:
-  /// `delta_bins` are (BinId, additional-record-count) pairs — the ids may
-  /// be provisional ones from BinVocabulary::Intern — and `record_count`
-  /// is how many raw records produced them. Repeat appends to one entity
-  /// accumulate; duplicate bins within or across appends sum their counts
-  /// at compaction. Nothing is visible to readers until Compact().
-  void Append(EntityId entity,
-              std::span<const std::pair<BinId, uint32_t>> delta_bins,
-              uint64_t record_count);
-  bool has_pending() const { return !pending_.empty(); }
-  size_t pending_entities() const { return pending_.size(); }
-
-  /// Applies buffered appends: renumbers every stored BinId through
-  /// `remap` (from BinVocabulary::Compact of the same epoch) and rebuilds
-  /// the CSR layout, window index, fingerprints, per-bin statistics, and
-  /// IDF over the merged histories — the same shared CSR builder the
-  /// batch path uses, so the result is field-for-field the store a batch
-  /// build over the union of records produces. A mapped (SCTX-backed)
-  /// store migrates to owned heap arrays.
-  /// Deterministic at every `threads`.
-  void Compact(const BinVocabulary& vocab, std::span<const BinId> remap,
-               int threads = 0);
-
  private:
-  friend class HistoryStoreBuilder;  // construction (linkage_context.cc)
-  friend class SctxIo;               // serialisation + mapped views
+  friend class ContextBuilder;  // construction (linkage_context.cc)
+  friend class SctxIo;          // serialisation + mapped views
+  // Empty histories, which only a mapped SCTX file carries (tests).
+  friend struct HistoryStoreTestAccess;
 
   FlatArray<EntityId> entity_ids_;
   // CSR over bins: entity u owns bin_ids_/bin_counts_ positions
@@ -223,13 +178,6 @@ class HistoryStore {
   FlatArray<double> idf_;
   FlatArray<uint64_t> total_records_;
   double avg_bins_ = 0.0;
-  // Appends buffered since the last Compact(), keyed by entity id so
-  // compaction order is deterministic. Transient: never serialised.
-  struct PendingAppend {
-    std::vector<std::pair<BinId, uint32_t>> bins;
-    uint64_t records = 0;
-  };
-  std::map<EntityId, PendingAppend> pending_;
 };
 
 /// Which side of the linkage a record stream feeds: the left ("E") or
@@ -248,43 +196,67 @@ struct LinkageContext {
   /// stay valid for the lifetime of every copy. Null for built contexts.
   std::shared_ptr<const void> backing;
 
-  /// Builds the context from two finalized datasets. Per-entity binning is
-  /// data-parallel over `threads` workers (<= 0 means the library
-  /// default); vocabulary assignment and the dataset statistics are
-  /// order-fixed merges, so the context is identical at every thread
-  /// count.
+  /// Builds the context from two finalized datasets: AppendRecords over
+  /// each, then Compact over `threads` workers (<= 0 means the library
+  /// default). The context is identical at every thread count.
   static LinkageContext Build(const LocationDataset& dataset_e,
                               const LocationDataset& dataset_i,
                               const HistoryConfig& config, int threads = 0);
 
-  /// What one AppendRecords batch did, in terms the incremental linker's
-  /// invalidation logic cares about (core/incremental.h): any structural
-  /// growth — a new entity, a bin new to the vocabulary, or a known bin
-  /// new to an existing entity's history — shifts dataset-level
-  /// statistics (|U|, avg|H|, IDF), so every cached pair score goes
-  /// stale; pure count increments on existing (entity, bin) pairs leave
-  /// untouched pairs' scores bit-identical.
-  struct AppendSummary {
-    uint64_t records = 0;      // records buffered by this call
-    size_t entities = 0;       // distinct entities they touch
-    bool new_entities = false; // >= 1 entity absent from the store
-    bool new_bins = false;     // >= 1 bin new to vocab or to its entity
+  /// Buffers `records` (any order; new or existing entities) for one
+  /// side: each record becomes one (entity, window, cell) key per cell it
+  /// covers, appended to the side's pending keys (a key equal to the one
+  /// before it only bumps that key's count). O(1) per point record, with
+  /// no lookup. Readers see nothing until Compact().
+  void AppendRecords(LinkageSide side, std::span<const Record> records);
+  bool has_pending() const {
+    return !pending_e_.empty() || !pending_i_.empty();
+  }
+
+  /// What one Compact folded in, per side, in the terms the incremental
+  /// linker's invalidation logic needs (core/incremental.h).
+  struct CompactReport {
+    struct Side {
+      /// Sorted ids of the entities that had records appended.
+      std::vector<EntityId> appended;
+      /// A new entity, or a bin new to an appended entity's history.
+      /// Either shifts the side's |U|, avg|H| or IDF, so every cached
+      /// pair score goes stale; pure count increments on existing
+      /// (entity, bin) pairs leave untouched pairs' scores bit-identical.
+      bool structural = false;
+    };
+    Side e, i;
+    bool structural() const { return e.structural || i.structural; }
   };
 
-  /// Buffers `records` (any order; new or existing entities) for one
-  /// side: bins them with the context's HistoryConfig, interns new
-  /// (window, cell) bins into the vocabulary's pending set, and queues
-  /// per-entity deltas on the side's store. Readers see nothing until
-  /// Compact().
-  AppendSummary AppendRecords(LinkageSide side,
-                              std::span<const Record> records);
-  bool has_pending() const;
+  /// Applies every buffered append: orders each side's pending keys by
+  /// (window, cell) with a radix sort of their positions, merges their
+  /// bins into the vocabulary (BinIds stay assigned by rank, so old ids
+  /// renumber in increasing order), sorts the keys by entity (in place
+  /// when they arrived in entity and time order), merges each appended
+  /// entity's bins into its history, and rebuilds the stores' flat
+  /// arrays. Work is linear in the stores plus the pending keys. After
+  /// this, the context equals LinkageContext::Build over the union of all
+  /// records ever appended, field for field, at every `threads`. A mapped
+  /// (SCTX-backed) store that is rebuilt migrates to owned heap arrays.
+  CompactReport Compact(int threads = 0);
 
-  /// Applies every buffered append: compacts the vocabulary and rebuilds
-  /// whichever stores the new bins or buffered deltas touch. After this,
-  /// the context equals LinkageContext::Build over the union of all
-  /// records ever ingested, field for field.
-  void Compact(int threads = 0);
+ private:
+  friend class ContextBuilder;
+
+  // One pending (entity, window, cell) key with its record multiplicity.
+  // `records` counts the records whose first covered cell this key is, so
+  // an entity's keys sum to its record count in region mode too. The
+  // vocabulary merge inside Compact overwrites `cell` with the key's BinId.
+  // Transient: SCTX files hold compacted contexts only.
+  struct PendingKey {
+    EntityId entity;
+    int64_t window;
+    uint64_t cell;
+    uint32_t count;
+    uint32_t records;
+  };
+  std::vector<PendingKey> pending_e_, pending_i_;
 };
 
 }  // namespace slim

@@ -15,7 +15,9 @@ constexpr int kIShift = 28;
 constexpr uint64_t kIndexMask = (1ULL << 28) - 1;
 constexpr uint64_t kLevelMask = 0x3f;
 
-double GridCount(int level) { return std::ldexp(1.0, level); }  // 2^level
+double GridCount(int level) {  // 2^level, exact
+  return static_cast<double>(uint64_t{1} << level);
+}
 
 }  // namespace
 

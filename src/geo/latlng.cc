@@ -21,9 +21,13 @@ bool LatLng::IsValid() const {
 LatLng LatLng::Normalized() const {
   LatLng out;
   out.lat_deg = std::clamp(lat_deg, -90.0, 90.0);
-  double lng = std::fmod(lng_deg, 360.0);
-  if (lng < -180.0) lng += 360.0;
-  if (lng >= 180.0) lng -= 360.0;
+  // An in-range longitude is its own remainder; only others pay for fmod.
+  double lng = lng_deg;
+  if (!(lng >= -180.0 && lng < 180.0)) {
+    lng = std::fmod(lng, 360.0);
+    if (lng < -180.0) lng += 360.0;
+    if (lng >= 180.0) lng -= 360.0;
+  }
   out.lng_deg = lng;
   return out;
 }

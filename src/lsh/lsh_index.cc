@@ -1,12 +1,12 @@
 #include "lsh/lsh_index.h"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 #include <utility>
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "common/radix_sort.h"
 
 namespace slim {
 namespace {
@@ -24,27 +24,6 @@ struct Entry {
   uint64_t bucket;
   uint32_t pos;
 };
-
-// Sorts entries by bucket id, stably: an LSD radix sort over 11-bit
-// digits, as many as the largest id needs, so nothing is sized by the
-// bucket count. Entries that arrive ascending by position leave ordered by
-// (bucket id, position).
-void SortByBucket(std::vector<Entry>* entries) {
-  constexpr int kBits = 11;
-  constexpr uint64_t kMask = (uint64_t{1} << kBits) - 1;
-  uint64_t max_id = 0;
-  for (const Entry& e : *entries) max_id = std::max(max_id, e.bucket);
-  std::vector<Entry> sorted(entries->size());
-  for (int shift = 0; shift < 64 && (max_id >> shift) != 0; shift += kBits) {
-    std::array<size_t, kMask + 2> start{};
-    for (const Entry& e : *entries) ++start[((e.bucket >> shift) & kMask) + 1];
-    for (size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
-    for (const Entry& e : *entries) {
-      sorted[start[(e.bucket >> shift) & kMask]++] = e;
-    }
-    entries->swap(sorted);
-  }
-}
 
 }  // namespace
 
@@ -107,8 +86,12 @@ Csr<uint32_t> GatherLshCandidates(const Csr<uint64_t>& left,
   for (size_t j = 0; j < probes.size(); ++j) {
     probes[j] = {right.values[j], static_cast<uint32_t>(j)};
   }
-  SortByBucket(&table);
-  SortByBucket(&probes);
+  // Stable, so entries that arrive ascending by position leave ordered by
+  // (bucket id, position).
+  const auto by_bucket = [](const Entry& e, int) { return e.bucket; };
+  std::vector<Entry> scratch;
+  RadixSort(&table, &scratch, 1, by_bucket, threads);
+  RadixSort(&probes, &scratch, 1, by_bucket, threads);
   // runs[j]: the table range holding right id j's bucket, from a merge
   // join (both sides ascend by bucket id).
   std::vector<std::pair<const Entry*, const Entry*>> runs(probes.size());

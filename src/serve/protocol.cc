@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/strings.h"
+#include "data/dataset_io.h"
 
 namespace slim {
 namespace {
@@ -53,8 +54,8 @@ Result<ServeCommand> ParseServeCommand(std::string_view line) {
       if (!entity.ok() || !lat.ok() || !lng.ok() || !timestamp.ok()) {
         return BadArgument("INGEST record fields must be numeric");
       }
-      if (*lat < -90.0 || *lat > 90.0 || *lng < -180.0 || *lng > 180.0) {
-        return BadArgument("INGEST coordinates out of range");
+      if (!RawCoordinateInRange(*lat, *lng)) {
+        return BadArgument("INGEST coordinates must be finite and in range");
       }
       cmd.records.push_back({*entity, {*lat, *lng}, *timestamp});
     }

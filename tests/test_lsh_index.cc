@@ -295,10 +295,9 @@ TEST(LshDifferential, EmptyEntitiesAndEmptySides) {
   const LinkedPairSample& pair = SweepPairs()[0];
   const SlimConfig defaults;
   LinkageContext ctx = LinkageContext::Build(pair.a, pair.b, defaults.history);
-  // Appends without bins leave entities with no history on both sides.
-  ctx.store_e.Append(1u << 30, {}, 0);
-  ctx.store_i.Append(1u << 30, {}, 0);
-  ctx.Compact();
+  // Entities with no history on both sides.
+  HistoryStoreTestAccess::AppendEmptyEntity(&ctx.store_e, 1u << 30);
+  HistoryStoreTestAccess::AppendEmptyEntity(&ctx.store_i, 1u << 30);
   ExpectMatchesReference(ctx, defaults.lsh);
   const EntityIdx empty = *ctx.store_e.IndexOf(1u << 30);
   const auto gen = BuildIndex(ctx, defaults.lsh);

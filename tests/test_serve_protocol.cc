@@ -76,6 +76,11 @@ TEST(ServeProtocol, RejectsMalformedCommands) {
       {"INGEST A 1 x -122.4 60", "bad-argument"},      // non-numeric
       {"INGEST A 1 91.0 -122.4 60", "bad-argument"},   // lat out of range
       {"INGEST A 1 37.5 -222.4 60", "bad-argument"},   // lng out of range
+      {"INGEST A 1 nan 10.0 100", "bad-argument"},     // NaN fails no bound
+      {"INGEST A 1 -nan 10.0 100", "bad-argument"},
+      {"INGEST A 1 NAN 10.0 100", "bad-argument"},
+      {"INGEST A 1 37.5 nan 100", "bad-argument"},
+      {"INGEST A 1 inf -122.4 60", "bad-argument"},
       {"LINK now", "bad-argument"},
       {"TOPK", "bad-argument"},
       {"TOPK notanumber", "bad-argument"},
@@ -164,6 +169,20 @@ TEST(ServeService, MalformedAndOversizedExecuteAsErrors) {
   // Errors never wedge the session.
   r = service.Execute("STATS");
   EXPECT_EQ(r.line.rfind("OK epoch=0 ", 0), 0u) << r.line;
+}
+
+TEST(ServeService, NanCoordinateIsRefusedAndTheSessionGoesOn) {
+  // A NaN passes every range comparison; accepted, it would reach the
+  // cell computation of the next epoch and abort the daemon.
+  LinkageService service(ServeTestConfig());
+  ServeReply r = service.Execute("INGEST A 1 nan 10.0 100");
+  EXPECT_EQ(r.line.rfind("ERR bad-argument ", 0), 0u) << r.line;
+  r = service.Execute(kIngestA);
+  EXPECT_EQ(r.line.rfind("OK ", 0), 0u) << r.line;
+  r = service.Execute(kIngestB);
+  EXPECT_EQ(r.line.rfind("OK ", 0), 0u) << r.line;
+  r = service.Execute("LINK");
+  EXPECT_EQ(r.line.rfind("OK epoch=1 ", 0), 0u) << r.line;
 }
 
 TEST(ServeService, SaveFailsWithIoErrorOnBadPath) {

@@ -272,9 +272,7 @@ TEST(Signature, EmptyEntityIsAllPlaceholders) {
   AddVisits(&ds, 1, {{0, Cell(12, 1, 1), 1}, {9, Cell(12, 2, 2), 1}});
   ds.Finalize();
   LinkageContext ctx = LinkageContext::Build(ds, ds, Config());
-  // An append without bins leaves entity 7 in the store with no history.
-  ctx.store_e.Append(7, {}, 0);
-  ctx.Compact();
+  HistoryStoreTestAccess::AppendEmptyEntity(&ctx.store_e, 7);
   const EntityIdx empty = *ctx.store_e.IndexOf(7);
   ASSERT_EQ(ctx.store_e.num_bins(empty), 0u);
   EXPECT_TRUE(BuildSignature(ctx.store_e, ctx.vocab, empty,

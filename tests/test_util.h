@@ -4,9 +4,32 @@
 
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
+#include "core/linkage_context.h"
 #include "data/dataset.h"
 #include "geo/latlng.h"
+
+namespace slim {
+
+/// Appends entity `id` (larger than every id in the store) with an empty
+/// history: a state no record stream produces, since every record fills a
+/// bin, but one a mapped SCTX file may carry. The per-bin statistics are
+/// left as they were.
+struct HistoryStoreTestAccess {
+  static void AppendEmptyEntity(HistoryStore* store, EntityId id) {
+    SLIM_CHECK(store->size() == 0 || store->entity_ids_.back() < id);
+    store->entity_ids_.owned().push_back(id);
+    store->total_records_.owned().push_back(0);
+    store->bin_offsets_.owned().push_back(store->bin_offsets_.back());
+    store->window_offsets_.owned().push_back(store->window_offsets_.back());
+    for (size_t k = 0; k < HistoryStore::kWindowMaskWords; ++k) {
+      store->window_masks_.owned().push_back(0);
+    }
+  }
+};
+
+}  // namespace slim
 
 namespace slim::testing {
 

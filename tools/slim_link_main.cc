@@ -77,7 +77,8 @@ void Usage() {
       "  --threshold KIND      gmm|otsu|two_means|none (default gmm)\n"
       "  --matcher KIND        greedy|hungarian (default greedy)\n"
       "  --min_records N       drop entities with fewer records (default 6)\n"
-      "  --threads N           worker threads for every pipeline stage\n"
+      "  --threads N           worker threads for every linkage stage;\n"
+      "                        CSV parsing follows --io_threads instead\n"
       "                        (default: SLIM_THREADS env, else hardware)\n"
       "  --shards K            run the sharded driver with K contiguous\n"
       "                        right-side shards; links are bit-identical\n"
