@@ -183,6 +183,8 @@ Result<EpochResult> IncrementalLinker::LinkEpoch() {
   const std::vector<uint8_t> dirty_i_flags =
       DirtyFlags(ctx_.store_i, appended.i.appended);
   std::vector<ScoreRow> new_rows(lefts);
+  std::vector<std::vector<IndexEdge>> shard_edges(
+      static_cast<size_t>(threads));
   std::vector<SimilarityStats> shard_stats(static_cast<size_t>(threads));
   std::vector<uint64_t> shard_scored(static_cast<size_t>(threads), 0);
   std::vector<uint64_t> shard_reused(static_cast<size_t>(threads), 0);
@@ -190,6 +192,7 @@ Result<EpochResult> IncrementalLinker::LinkEpoch() {
   ParallelFor(
       lefts,
       [&](size_t begin, size_t end, int shard) {
+        auto& edges = shard_edges[static_cast<size_t>(shard)];
         auto& stats = shard_stats[static_cast<size_t>(shard)];
         uint64_t scored = 0, reused = 0;
         CellDistanceCache cache;
@@ -210,18 +213,22 @@ Result<EpochResult> IncrementalLinker::LinkEpoch() {
           size_t j = 0;  // cursor into prev (both ascend by right id)
           for (const EntityIdx v_idx : cands) {
             const EntityId v = ctx_.store_i.entity_id(v_idx);
+            double s = 0.0;
+            bool hit = false;
             if (prev != nullptr && dirty_i_flags[v_idx] == 0) {
               while (j < prev->size() && (*prev)[j].first < v) ++j;
-              if (j < prev->size() && (*prev)[j].first == v) {
-                row.emplace_back(v, (*prev)[j].second);
-                ++reused;
-                continue;
-              }
+              hit = j < prev->size() && (*prev)[j].first == v;
             }
-            const double s =
-                engine.ScoreIndexed(u_idx, v_idx, &stats, &cache, &scratch);
+            if (hit) {
+              s = (*prev)[j].second;
+              ++reused;
+            } else {
+              s = engine.ScoreIndexed(u_idx, v_idx, &stats, &cache,
+                                      &scratch);
+              ++scored;
+            }
             row.emplace_back(v, s);
-            ++scored;
+            if (s > 0.0) edges.push_back({u_idx, v_idx, s});
           }
         }
         stats.cache_hits += cache.hits();
@@ -231,34 +238,31 @@ Result<EpochResult> IncrementalLinker::LinkEpoch() {
       },
       threads);
 
-  std::vector<WeightedEdge> edges;
   for (int shard = 0; shard < threads; ++shard) {
     result.stats += shard_stats[static_cast<size_t>(shard)];
     out.incremental.pairs_scored += shard_scored[static_cast<size_t>(shard)];
     out.incremental.pairs_reused += shard_reused[static_cast<size_t>(shard)];
   }
-  for (size_t k = 0; k < lefts; ++k) {
-    const EntityId u = ctx_.store_e.entity_id(static_cast<EntityIdx>(k));
-    for (const auto& [v, s] : new_rows[k]) {
-      if (s > 0.0) edges.push_back({u, v, s});
-    }
-  }
-  result.seconds_scoring = SecondsSince(t0);
-  result.rss_peak_scoring = CurrentPeakRssBytes();
-
-  // 4/5. Matching + stop threshold — the exact batch tail, so links,
-  // matching, graph, and threshold come out bit-identical to
-  // SlimLinker::Link over the union dataset.
-  internal::SealLinkage(config_, std::move(edges), &result);
-
   // Persist this epoch's rows as the next epoch's cache (left ids ascend
-  // with EntityIdx, so the row list is sorted by construction).
+  // with EntityIdx, so the row list is sorted by construction). The old
+  // rows and the candidate index die here, before the seal allocates.
   rows_.clear();
   rows_.reserve(lefts);
   for (size_t k = 0; k < lefts; ++k) {
     rows_.emplace_back(ctx_.store_e.entity_id(static_cast<EntityIdx>(k)),
                        std::move(new_rows[k]));
   }
+  std::vector<ScoreRow>().swap(new_rows);
+  generator.reset();
+  std::vector<IndexEdge> edges =
+      internal::ConcatenateShards(std::move(shard_edges));
+  result.seconds_scoring = SecondsSince(t0);
+  result.rss_peak_scoring = CurrentPeakRssBytes();
+
+  // 4/5. Matching + stop threshold — the exact batch seal, so links,
+  // matching, graph, and threshold come out bit-identical to
+  // SlimLinker::Link over the union dataset.
+  internal::SealLinkage(config_, ctx_, threads, std::move(edges), &result);
 
   seal_bookkeeping();
   return out;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 
 #include "common/check.h"
@@ -83,15 +84,14 @@ Result<LinkageResult> RunShardedBlocks(
   //      Spilling is pointless for a single block (the merge would reload
   //      everything immediately).
   const SimilarityEngine engine(ctx, config.similarity);
-  const bool need_graph =
-      config.keep_graph || config.matcher == MatcherKind::kHungarian;
   EdgeSpillOptions spill_options;
   spill_options.to_disk = plan.left_shards * plan.shards > 1;
   spill_options.run_bytes = static_cast<size_t>(config.spill_run_bytes);
   // Runs sort into the order the seal scans first (its only scan, when the
   // graph is skipped), so the common path is a single merge pass.
-  spill_options.run_order =
-      need_graph ? EdgeOrder::kPair : EdgeOrder::kScore;
+  spill_options.run_order = internal::SealNeedsGraph(config)
+                                ? EdgeOrder::kPair
+                                : EdgeOrder::kScore;
   EdgeSpill spill(spill_options);
 
   for (const auto& [left_begin, left_end] : plan.left_ranges) {
@@ -106,39 +106,23 @@ Result<LinkageResult> RunShardedBlocks(
       result.rss_peak_lsh = CurrentPeakRssBytes();
 
       t0 = std::chrono::steady_clock::now();
-      std::vector<std::vector<WeightedEdge>> block_edges(
-          static_cast<size_t>(threads));
-      std::vector<SimilarityStats> block_stats(static_cast<size_t>(threads));
-      ParallelFor(
-          static_cast<size_t>(left_end - left_begin),
-          [&](size_t begin, size_t end, int shard) {
-            auto& edges = block_edges[static_cast<size_t>(shard)];
-            auto& stats = block_stats[static_cast<size_t>(shard)];
-            CellDistanceCache cache;
-            ScoreScratch scratch;
-            for (size_t k = begin; k < end; ++k) {
-              const EntityIdx u_idx =
-                  left_begin + static_cast<EntityIdx>(k);
-              const EntityId u = ctx.store_e.entity_id(u_idx);
-              for (const EntityIdx v_idx :
-                   generator->CandidatesFor(u_idx)) {
-                const double s = engine.ScoreIndexed(u_idx, v_idx, &stats,
-                                                     &cache, &scratch);
-                if (s > 0.0) {
-                  edges.push_back({u, ctx.store_i.entity_id(v_idx), s});
-                }
-              }
-            }
-            stats.cache_hits += cache.hits();
-            stats.cache_misses += cache.misses();
-          },
-          threads);
-      // Blocks leave in (left, right, thread-shard) order — any order
-      // works, the merge re-sorts — and their scratch dies here.
-      for (int shard = 0; shard < threads; ++shard) {
-        result.stats += block_stats[static_cast<size_t>(shard)];
-        spill.Append(std::move(block_edges[static_cast<size_t>(shard)]));
+      std::vector<std::vector<IndexEdge>> block_edges = internal::ScoreEdges(
+          engine, *generator, left_begin, left_end, threads, &result.stats);
+      // The block leaves as one spill append — in (left, right) block
+      // order, though any order works: the merge re-sorts. The spill holds
+      // the store indices in WeightedEdge's u / v; the seal maps matched
+      // pairs back to ids.
+      std::vector<WeightedEdge> spilled;
+      spilled.reserve(static_cast<size_t>(std::accumulate(
+          block_edges.begin(), block_edges.end(), size_t{0},
+          [](size_t n, const auto& part) { return n + part.size(); })));
+      for (auto& part : block_edges) {
+        for (const IndexEdge& e : part) {
+          spilled.push_back({e.u, e.v, e.weight});
+        }
+        std::vector<IndexEdge>().swap(part);
       }
+      spill.Append(std::move(spilled));
       result.seconds_scoring += SecondsSince(t0);
       result.rss_peak_scoring = CurrentPeakRssBytes();
     }
@@ -150,7 +134,7 @@ Result<LinkageResult> RunShardedBlocks(
   // 4/5. Deterministic merge into the shared matching + threshold tail:
   // the seal fixes the canonical edge orders, so the block partition
   // leaves no trace in the output.
-  if (Status s = internal::SealLinkageStreamed(config, &spill, &result);
+  if (Status s = internal::SealLinkage(config, ctx, threads, &spill, &result);
       !s.ok()) {
     return s;
   }

@@ -20,10 +20,9 @@
 //                       block's index is dropped before the next block
 //                       builds.
 //   merge (global)    — the spilled runs k-way-merge back in the canonical
-//                       edge orders and feed the same matching + GMM
-//                       threshold tail the monolithic driver runs
-//                       (internal::SealLinkageStreamed); with
-//                       SlimConfig::keep_graph false the greedy matcher
+//                       edge orders and feed the same seal the monolithic
+//                       driver runs (internal::SealLinkage); with
+//                       SlimConfig::keep_graph false the greedy pass
 //                       consumes the score-ordered stream directly and the
 //                       full edge set never lives in memory at once.
 //

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <memory>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -61,59 +63,27 @@ Result<LinkageResult> SlimLinker::Link(const LocationDataset& dataset_e,
   // 2. Candidate generation (LSHFilterPairs of Alg. 1, generalised to the
   //    configured blocking stage).
   t0 = std::chrono::steady_clock::now();
-  const std::unique_ptr<CandidateGenerator> generator = MakeCandidateGenerator(
+  std::unique_ptr<CandidateGenerator> generator = MakeCandidateGenerator(
       config_.candidates, ctx, config_.lsh, config_.grid, threads);
   result.candidate_pairs = generator->total_candidate_pairs();
   result.seconds_lsh = SecondsSince(t0);
   result.rss_peak_lsh = CurrentPeakRssBytes();
 
-  // 3. Pairwise similarity scores -> positive-score edges.
+  // 3. Pairwise similarity scores -> positive-score edges. The candidate
+  //    index dies before the shard lists are joined, so the seal's edge
+  //    list and sort scratch reuse its memory instead of adding to it.
   t0 = std::chrono::steady_clock::now();
-  const SimilarityEngine engine(ctx, config_.similarity);
-  const size_t lefts = ctx.store_e.size();
-  std::vector<std::vector<WeightedEdge>> shard_edges(
-      static_cast<size_t>(threads));
-  std::vector<SimilarityStats> shard_stats(static_cast<size_t>(threads));
-
-  ParallelFor(
-      lefts,
-      [&](size_t begin, size_t end, int shard) {
-        auto& edges = shard_edges[static_cast<size_t>(shard)];
-        auto& stats = shard_stats[static_cast<size_t>(shard)];
-        CellDistanceCache cache;
-        ScoreScratch scratch;
-        for (size_t k = begin; k < end; ++k) {
-          const EntityIdx u_idx = static_cast<EntityIdx>(k);
-          const EntityId u = ctx.store_e.entity_id(u_idx);
-          for (const EntityIdx v_idx : generator->CandidatesFor(u_idx)) {
-            const double s =
-                engine.ScoreIndexed(u_idx, v_idx, &stats, &cache, &scratch);
-            if (s > 0.0) {
-              edges.push_back({u, ctx.store_i.entity_id(v_idx), s});
-            }
-          }
-        }
-        stats.cache_hits += cache.hits();
-        stats.cache_misses += cache.misses();
-      },
-      threads);
-
-  // Sharded edge lists merge in shard order; SealLinkage then fixes one
-  // canonical edge order whatever the thread count was.
-  size_t total_edges = 0;
-  for (const auto& edges : shard_edges) total_edges += edges.size();
-  std::vector<WeightedEdge> edges;
-  edges.reserve(total_edges);
-  for (int shard = 0; shard < threads; ++shard) {
-    result.stats += shard_stats[static_cast<size_t>(shard)];
-    const auto& shard_list = shard_edges[static_cast<size_t>(shard)];
-    edges.insert(edges.end(), shard_list.begin(), shard_list.end());
-  }
+  std::vector<std::vector<IndexEdge>> shard_edges = internal::ScoreEdges(
+      SimilarityEngine(ctx, config_.similarity), *generator, 0,
+      static_cast<EntityIdx>(ctx.store_e.size()), threads, &result.stats);
+  generator.reset();
+  std::vector<IndexEdge> edges =
+      internal::ConcatenateShards(std::move(shard_edges));
   result.seconds_scoring = SecondsSince(t0);
   result.rss_peak_scoring = CurrentPeakRssBytes();
 
-  // 4/5. Matching + stop threshold — shared with the sharded driver.
-  internal::SealLinkage(config_, std::move(edges), &result);
+  // 4/5. Matching + stop threshold — shared with every driver.
+  internal::SealLinkage(config_, ctx, threads, std::move(edges), &result);
 
   result.seconds_total = SecondsSince(t_start);
   result.rss_peak_total = CurrentPeakRssBytes();
@@ -121,10 +91,15 @@ Result<LinkageResult> SlimLinker::Link(const LocationDataset& dataset_e,
 }
 
 namespace internal {
+
+bool SealNeedsGraph(const SlimConfig& config) {
+  return config.keep_graph || config.matcher == MatcherKind::kHungarian;
+}
+
 namespace {
 
-// The stop-threshold + final-links tail shared by the materialised and
-// streamed seals: result->matching must already be filled.
+// The stop-threshold + final-links tail of both seal inputs:
+// result->matching must already be filled.
 void ApplyStopThreshold(const SlimConfig& config, LinkageResult* result) {
   // Automated stop threshold over the matched edge weights.
   std::vector<double> weights;
@@ -155,58 +130,131 @@ void ApplyStopThreshold(const SlimConfig& config, LinkageResult* result) {
 
 }  // namespace
 
-void SealLinkage(const SlimConfig& config, std::vector<WeightedEdge> edges,
+std::vector<std::vector<IndexEdge>> ScoreEdges(
+    const SimilarityEngine& engine, const CandidateGenerator& generator,
+    EntityIdx left_begin, EntityIdx left_end, int threads,
+    SimilarityStats* stats) {
+  std::vector<std::vector<IndexEdge>> shard_edges(
+      static_cast<size_t>(threads));
+  std::vector<SimilarityStats> shard_stats(static_cast<size_t>(threads));
+  ParallelFor(
+      left_end - left_begin,
+      [&](size_t begin, size_t end, int shard) {
+        auto& edges = shard_edges[static_cast<size_t>(shard)];
+        auto& shard_stat = shard_stats[static_cast<size_t>(shard)];
+        CellDistanceCache cache;
+        ScoreScratch scratch;
+        for (size_t k = begin; k < end; ++k) {
+          const EntityIdx u = left_begin + static_cast<EntityIdx>(k);
+          for (const EntityIdx v : generator.CandidatesFor(u)) {
+            const double s =
+                engine.ScoreIndexed(u, v, &shard_stat, &cache, &scratch);
+            if (s > 0.0) edges.push_back({u, v, s});
+          }
+        }
+        shard_stat.cache_hits += cache.hits();
+        shard_stat.cache_misses += cache.misses();
+      },
+      threads);
+  for (const SimilarityStats& shard_stat : shard_stats) *stats += shard_stat;
+  return shard_edges;
+}
+
+std::vector<IndexEdge> ConcatenateShards(
+    std::vector<std::vector<IndexEdge>> shards) {
+  size_t total = 0;
+  size_t filled = 0;
+  for (const auto& shard : shards) {
+    total += shard.size();
+    filled += shard.empty() ? 0 : 1;
+  }
+  if (filled == 1) {
+    for (auto& shard : shards) {
+      if (!shard.empty()) return std::move(shard);
+    }
+  }
+  std::vector<IndexEdge> edges;
+  edges.reserve(total);
+  for (auto& shard : shards) {
+    edges.insert(edges.end(), shard.begin(), shard.end());
+    std::vector<IndexEdge>().swap(shard);
+  }
+  return edges;
+}
+
+void SealLinkage(const SlimConfig& config, const LinkageContext& ctx,
+                 int threads, std::vector<IndexEdge> edges,
                  LinkageResult* result) {
-  // Deterministic edge order regardless of thread/shard count. Each (u, v)
-  // pair is scored exactly once, so PairEdgeOrder is a total order over
-  // the edges.
-  std::sort(edges.begin(), edges.end(), PairEdgeOrder);
-  result->graph = BipartiteGraph(std::move(edges));
+  SLIM_DCHECK(std::is_sorted(edges.begin(), edges.end(),
+                             [](const IndexEdge& a, const IndexEdge& b) {
+                               return a.u != b.u ? a.u < b.u : a.v < b.v;
+                             }));
+  result->positive_edges = edges.size();
+  const std::span<const EntityId> left_ids = ctx.store_e.entity_ids().span();
+  const std::span<const EntityId> right_ids = ctx.store_i.entity_ids().span();
+  if (SealNeedsGraph(config)) {
+    // Index order is id order, so the graph comes out (u, v)-sorted.
+    std::vector<WeightedEdge> graph_edges;
+    graph_edges.reserve(edges.size());
+    for (const IndexEdge& e : edges) {
+      graph_edges.push_back({left_ids[e.u], right_ids[e.v], e.weight});
+    }
+    result->graph = BipartiteGraph(std::move(graph_edges));
+  }
 
   // Maximum-sum bipartite matching (LinkPairs of Alg. 1).
   const auto t0 = std::chrono::steady_clock::now();
-  result->matching = config.matcher == MatcherKind::kHungarian
-                         ? HungarianMaxWeightMatching(result->graph)
-                         : GreedyMaxWeightMatching(result->graph);
+  if (config.matcher == MatcherKind::kHungarian) {
+    result->matching = HungarianMaxWeightMatching(result->graph);
+  } else {
+    SortGreedyOrder(&edges, /*pair_sorted=*/true, threads);
+    FlatGreedyMatcher matcher(left_ids.size(), right_ids.size());
+    for (const IndexEdge& e : edges) matcher.Offer(e);
+    std::vector<IndexEdge>().swap(edges);
+    result->matching = matcher.Take(left_ids, right_ids);
+  }
   result->seconds_matching = SecondsSince(t0);
   result->rss_peak_matching = CurrentPeakRssBytes();
 
   ApplyStopThreshold(config, result);
 }
 
-Status SealLinkageStreamed(const SlimConfig& config, EdgeSpill* spill,
-                           LinkageResult* result) {
+Status SealLinkage(const SlimConfig& config, const LinkageContext& ctx,
+                   int threads, EdgeSpill* spill, LinkageResult* result) {
   if (Status s = spill->Seal(); !s.ok()) return s;
+  const auto to_index = [](const WeightedEdge& e) {
+    return IndexEdge{static_cast<uint32_t>(e.u), static_cast<uint32_t>(e.v),
+                     e.weight};
+  };
 
-  if (config.keep_graph || config.matcher == MatcherKind::kHungarian) {
-    // Materialised path: the (u, v)-ordered stream IS the sealed graph's
-    // edge vector; SealLinkage's sort then finds it already in order, so
-    // this is byte-for-byte the monolithic tail.
-    std::vector<WeightedEdge> edges;
+  if (SealNeedsGraph(config)) {
+    // The (u, v)-ordered merge is the vector the in-memory seal takes.
+    std::vector<IndexEdge> edges;
     edges.reserve(static_cast<size_t>(spill->size()));
-    if (Status s = spill->Scan(
-            EdgeOrder::kPair,
-            [&edges](const WeightedEdge& e) { edges.push_back(e); });
+    if (Status s = spill->Scan(EdgeOrder::kPair,
+                               [&](const WeightedEdge& e) {
+                                 edges.push_back(to_index(e));
+                               });
         !s.ok()) {
       return s;
     }
-    SealLinkage(config, std::move(edges), result);
+    SealLinkage(config, ctx, threads, std::move(edges), result);
     return Status::Ok();
   }
 
-  // Streaming path: the score-ordered merge is exactly the sequence
-  // GreedyMaxWeightMatching sorts into, so offering it incrementally
-  // produces the identical matching while only the matching itself (plus
-  // the used-vertex sets) is resident. The graph stays empty by request.
+  // The score-ordered merge is exactly GreedyEdgeOrder, so it streams into
+  // the greedy pass unsorted and only the matching is ever resident.
+  result->positive_edges = spill->size();
   const auto t0 = std::chrono::steady_clock::now();
-  StreamingGreedyMatcher matcher;
+  FlatGreedyMatcher matcher(ctx.store_e.size(), ctx.store_i.size());
   if (Status s = spill->Scan(
           EdgeOrder::kScore,
-          [&matcher](const WeightedEdge& e) { matcher.Offer(e); });
+          [&](const WeightedEdge& e) { matcher.Offer(to_index(e)); });
       !s.ok()) {
     return s;
   }
-  result->matching = matcher.Take();
+  result->matching = matcher.Take(ctx.store_e.entity_ids().span(),
+                                  ctx.store_i.entity_ids().span());
   result->seconds_matching = SecondsSince(t0);
   result->rss_peak_matching = CurrentPeakRssBytes();
 

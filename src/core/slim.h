@@ -5,9 +5,10 @@
 //                 two CSR history stores (core/linkage_context.h)
 //   2. candidates — build the configured CandidateGenerator (LSH, brute
 //                 force, or grid blocking; core/candidates.h)
-//   3. scoring  — pairwise similarity over the proposed pairs -> weighted
-//                 bipartite graph over positive scores
-//   4. matching — maximum-sum matching
+//   3. scoring  — pairwise similarity over the proposed pairs -> the
+//                 positive-score edges over store indices
+//   4. matching — greedy maximum-sum matching: one radix sort by score and
+//                 a byte-array pass (the graph is built only on request)
 //   5. threshold — fit the 2-component GMM over matched edge weights and
 //                 keep only links above the detected stop threshold.
 #ifndef SLIM_CORE_SLIM_H_
@@ -105,13 +106,16 @@ struct SlimConfig {
   /// bound. Only a memory/IO trade-off — never affects links.
   uint64_t spill_run_bytes = uint64_t{64} << 20;
 
-  /// When false, LinkSharded skips materialising LinkageResult::graph (the
-  /// full positive-score edge set) and streams edges straight into the
-  /// greedy matcher in score order — the O(edges) -> O(matching) memory
-  /// step the 1M-scale preset needs. Links, matching, and threshold are
-  /// bit-identical; only `graph` comes back empty. Ignored (treated as
-  /// true) by the monolithic Link() and by the Hungarian matcher, which
-  /// needs the whole graph resident anyway.
+  /// Whether LinkageResult::graph (the full positive-score edge set) is
+  /// materialised. Every driver — Link(), LinkSharded() and
+  /// IncrementalLinker::LinkEpoch() — honours it: without the graph the
+  /// seal radix-sorts the index edges by score (or, in LinkSharded, reads
+  /// the spill's score-ordered merge) straight into the greedy pass, so no
+  /// id-keyed edge copy is ever held. Links, matching, threshold and
+  /// LinkageResult::positive_edges are bit-identical either way; only
+  /// `graph` comes back empty. The Hungarian matcher solves over the graph
+  /// and builds it whatever this says. slim_link and slim_serve never keep
+  /// it.
   bool keep_graph = true;
 };
 
@@ -132,8 +136,12 @@ struct LinkageResult {
   /// The full maximum-sum matching before thresholding.
   Matching matching;
   /// The scored bipartite graph (positive similarity scores only), sorted
-  /// by (u, v). Used for Hit-Precision@k evaluation.
+  /// by (u, v). Used for Hit-Precision@k evaluation. Empty unless
+  /// SlimConfig::keep_graph (or the Hungarian matcher) asked for it.
   BipartiteGraph graph;
+  /// Positive-score edges the seal received — graph.num_edges() whenever
+  /// the graph is kept, and recorded whether or not it is.
+  uint64_t positive_edges = 0;
 
   /// Stop-threshold decision; `threshold_valid` is false when the detector
   /// could not run (e.g. fewer than two matched edges) in which case all
@@ -230,25 +238,49 @@ class EdgeSpill;  // core/edge_spill.h
 
 namespace internal {
 
-/// Shared pipeline tail used by both drivers so they cannot drift: fixes
-/// the canonical (u, v) edge order, builds the scored graph, runs the
-/// matching, detects the stop threshold, and emits the final links into
-/// `result` (also filling seconds_matching / rss_peak_matching). `edges`
-/// may arrive in any order; equal results in, equal results out.
-void SealLinkage(const SlimConfig& config, std::vector<WeightedEdge> edges,
+/// Whether the seal builds LinkageResult::graph: keep_graph asks for it,
+/// and the Hungarian matcher solves over it.
+bool SealNeedsGraph(const SlimConfig& config);
+
+/// The scoring loop every batch driver runs: scores each candidate of the
+/// left range [left_begin, left_end) on `threads` contiguous shards and
+/// returns the positive-score edges per shard, over store indices.
+/// Concatenated in shard order they are in (u, v) order — left ranges
+/// ascend with the shard and candidate spans ascend within a row. The
+/// shards' counters are added to *stats in shard order.
+std::vector<std::vector<IndexEdge>> ScoreEdges(
+    const SimilarityEngine& engine, const CandidateGenerator& generator,
+    EntityIdx left_begin, EntityIdx left_end, int threads,
+    SimilarityStats* stats);
+
+/// Concatenates shard edge lists in shard order, freeing each list once
+/// it is copied (a lone list is moved, not copied).
+std::vector<IndexEdge> ConcatenateShards(
+    std::vector<std::vector<IndexEdge>> shards);
+
+/// The one seal every driver ends in. `edges` are the positive-score
+/// edges over `ctx`'s store indices in (u, v) order. Records
+/// positive_edges; builds the graph only when keep_graph or the Hungarian
+/// matcher asks for it; otherwise one stable radix sort by score
+/// (SortGreedyOrder) puts the edges in GreedyEdgeOrder for the byte-array
+/// greedy pass (FlatGreedyMatcher), which turns only the matched pairs
+/// into ids. Then the stop threshold and the final links. Fills
+/// seconds_matching / rss_peak_matching. Callers free their candidate
+/// index and shard lists first: the seal's sort scratch is its only
+/// allocation the size of the edge set.
+void SealLinkage(const SlimConfig& config, const LinkageContext& ctx,
+                 int threads, std::vector<IndexEdge> edges,
                  LinkageResult* result);
 
-/// The streaming form of SealLinkage over an external edge sort
-/// (core/edge_spill.h): seals the spill, then either materialises the
-/// (u, v)-ordered stream into the graph and delegates to SealLinkage
-/// (keep_graph, or the Hungarian matcher, which needs the graph resident),
-/// or feeds the (weight desc, u, v)-ordered stream straight into the
-/// incremental greedy matcher so only the matching is ever held in memory.
-/// Both paths produce bit-identical links/matching/threshold; the
-/// streaming path leaves result->graph empty. IoError from a truncated or
-/// corrupt spill propagates; `result` is unusable on error.
-Status SealLinkageStreamed(const SlimConfig& config, EdgeSpill* spill,
-                           LinkageResult* result);
+/// The same seal over an external edge sort (core/edge_spill.h) whose
+/// edges carry store indices in WeightedEdge's u / v. With the graph it
+/// reads the (u, v)-ordered merge back and seals that vector; without,
+/// the score-ordered merge already arrives in GreedyEdgeOrder and streams
+/// into the same greedy pass, so only the matching is ever resident.
+/// IoError from a truncated or corrupt spill propagates; `result` is
+/// unusable on error.
+Status SealLinkage(const SlimConfig& config, const LinkageContext& ctx,
+                   int threads, EdgeSpill* spill, LinkageResult* result);
 
 }  // namespace internal
 

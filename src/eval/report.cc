@@ -20,7 +20,7 @@ std::string RenderLinkageReport(const LinkageResult& result,
   md += StrFormat("- **pairs matched before thresholding:** %zu\n",
                   result.matching.pairs.size());
   md += StrFormat("- **positive-score candidate edges:** %zu\n",
-                  result.graph.num_edges());
+                  static_cast<size_t>(result.positive_edges));
   if (result.threshold_valid) {
     md += StrFormat(
         "- **stop threshold:** %.2f (model-expected precision %.3f, "

@@ -6,6 +6,7 @@
 #define SLIM_MATCH_BIPARTITE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "data/record.h"
@@ -19,6 +20,18 @@ struct WeightedEdge {
   double weight = 0.0;
 
   bool operator==(const WeightedEdge&) const = default;
+};
+
+/// One weighted edge over dense vertex indices: u and v are ranks in the
+/// ascending left / right id lists (the stores' EntityIdx), so any order
+/// on indices is the same order on ids. The linkage drivers score, sort
+/// and match these 16-byte edges and turn only matched pairs into ids.
+struct IndexEdge {
+  uint32_t u = 0;
+  uint32_t v = 0;
+  double weight = 0.0;
+
+  bool operator==(const IndexEdge&) const = default;
 };
 
 /// The canonical (u, v) edge order every driver seals its edge set into.

@@ -1,12 +1,15 @@
 #include "match/matcher.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
+#include "common/radix_sort.h"
 
 namespace slim {
 
@@ -23,6 +26,97 @@ bool GreedyEdgeOrder(const WeightedEdge& a, const WeightedEdge& b) {
   if (a.weight != b.weight) return a.weight > b.weight;
   if (a.u != b.u) return a.u < b.u;
   return a.v < b.v;
+}
+
+namespace {
+
+// Index-edge form of GreedyEdgeOrder (read by SLIM_DCHECKs only).
+[[maybe_unused]] bool IndexGreedyOrder(const IndexEdge& a,
+                                       const IndexEdge& b) {
+  if (a.weight != b.weight) return a.weight > b.weight;
+  if (a.u != b.u) return a.u < b.u;
+  return a.v < b.v;
+}
+
+// An unsigned key that ascends as `weight` descends: IEEE-754 bits ordered
+// as unsigned (sign flipped for positives, all bits for negatives), then
+// inverted. Adding 0.0 turns -0.0 into 0.0 so the two compare equal.
+uint64_t DescendingWeightKey(double weight) {
+  const uint64_t bits = std::bit_cast<uint64_t>(weight + 0.0);
+  const uint64_t ascending =
+      (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+  return ~ascending;
+}
+
+// Ranks one endpoint of `edges` densely: returns its distinct ids
+// ascending and writes each edge's rank into (*out)[k].*slot, via one
+// radix sort of (id, edge) pairs.
+std::vector<EntityId> RankEndpoint(const std::vector<WeightedEdge>& edges,
+                                   EntityId WeightedEdge::*side,
+                                   uint32_t IndexEdge::*slot,
+                                   std::vector<IndexEdge>* out) {
+  struct Item {
+    uint64_t key;  // the id with its sign bit flipped: unsigned order
+    uint32_t edge;
+  };
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  std::vector<Item> items(edges.size());
+  for (size_t k = 0; k < edges.size(); ++k) {
+    items[k] = {static_cast<uint64_t>(edges[k].*side) ^ kSign,
+                static_cast<uint32_t>(k)};
+  }
+  std::vector<Item> scratch;
+  RadixSort(
+      &items, &scratch, 1, [](const Item& item, int) { return item.key; },
+      1);
+  std::vector<EntityId> ids;
+  uint64_t last_key = 0;
+  for (const Item& item : items) {
+    if (ids.empty() || item.key != last_key) {
+      ids.push_back(static_cast<EntityId>(item.key ^ kSign));
+      last_key = item.key;
+    }
+    (*out)[item.edge].*slot = static_cast<uint32_t>(ids.size() - 1);
+  }
+  return ids;
+}
+
+}  // namespace
+
+void SortGreedyOrder(std::vector<IndexEdge>* edges, bool pair_sorted,
+                     int threads) {
+  std::vector<IndexEdge> scratch;
+  // Word 0 is the least significant: the weight alone, or (u, v) under it.
+  const auto word = [pair_sorted](const IndexEdge& e, int w) -> uint64_t {
+    if (pair_sorted || w == 1) return DescendingWeightKey(e.weight);
+    return uint64_t{e.u} << 32 | e.v;
+  };
+  RadixSort(edges, &scratch, pair_sorted ? 1 : 2, word, threads);
+}
+
+FlatGreedyMatcher::FlatGreedyMatcher(size_t lefts, size_t rights)
+    : taken_u_(lefts, 0), taken_v_(rights, 0) {}
+
+void FlatGreedyMatcher::Offer(const IndexEdge& edge) {
+  SLIM_DCHECK(!any_ || !IndexGreedyOrder(edge, last_));
+  last_ = edge;
+  any_ = true;
+  if (taken_u_[edge.u] != 0 || taken_v_[edge.v] != 0) return;
+  taken_u_[edge.u] = 1;
+  taken_v_[edge.v] = 1;
+  pairs_.push_back(edge);
+}
+
+Matching FlatGreedyMatcher::Take(std::span<const EntityId> left_ids,
+                                 std::span<const EntityId> right_ids) {
+  Matching matching;
+  matching.pairs.reserve(pairs_.size());
+  for (const IndexEdge& e : pairs_) {
+    matching.pairs.push_back({left_ids[e.u], right_ids[e.v], e.weight});
+    matching.total_weight += e.weight;
+  }
+  SLIM_DCHECK(matching.IsValidMatching());
+  return matching;
 }
 
 void StreamingGreedyMatcher::Offer(const WeightedEdge& edge) {
@@ -45,11 +139,23 @@ Matching StreamingGreedyMatcher::Take() {
 }
 
 Matching GreedyMaxWeightMatching(const BipartiteGraph& graph) {
-  std::vector<WeightedEdge> edges = graph.edges();
-  std::sort(edges.begin(), edges.end(), GreedyEdgeOrder);
-  StreamingGreedyMatcher matcher;
-  for (const auto& e : edges) matcher.Offer(e);
-  return matcher.Take();
+  const std::vector<WeightedEdge>& graph_edges = graph.edges();
+  std::vector<IndexEdge> edges(graph_edges.size());
+  for (size_t k = 0; k < edges.size(); ++k) {
+    edges[k].weight = graph_edges[k].weight;
+  }
+  const std::vector<EntityId> lefts =
+      RankEndpoint(graph_edges, &WeightedEdge::u, &IndexEdge::u, &edges);
+  const std::vector<EntityId> rights =
+      RankEndpoint(graph_edges, &WeightedEdge::v, &IndexEdge::v, &edges);
+  const bool pair_sorted = std::is_sorted(
+      edges.begin(), edges.end(), [](const IndexEdge& a, const IndexEdge& b) {
+        return a.u != b.u ? a.u < b.u : a.v < b.v;
+      });
+  SortGreedyOrder(&edges, pair_sorted, 1);
+  FlatGreedyMatcher matcher(lefts.size(), rights.size());
+  for (const IndexEdge& e : edges) matcher.Offer(e);
+  return matcher.Take(lefts, rights);
 }
 
 Matching HungarianMaxWeightMatching(const BipartiteGraph& graph) {

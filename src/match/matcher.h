@@ -9,6 +9,9 @@
 #ifndef SLIM_MATCH_MATCHER_H_
 #define SLIM_MATCH_MATCHER_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -31,11 +34,44 @@ struct Matching {
 /// produced — the property the external (run-merged) edge path relies on.
 bool GreedyEdgeOrder(const WeightedEdge& a, const WeightedEdge& b);
 
-/// Incremental greedy matcher for edge streams that already arrive in
-/// GreedyEdgeOrder (e.g. the external matcher's score-ordered merge,
-/// core/edge_spill.h). Offer() consumes one edge at a time, so the full
-/// edge set never needs to be resident; Take() finalises. Offering edges
-/// out of order is a programming error (SLIM_DCHECKed).
+/// Sorts `edges` into GreedyEdgeOrder over their indices with one stable
+/// LSD radix sort (common/radix_sort.h). When `pair_sorted`, the edges
+/// arrive in (u, v) order — as every linkage driver's scoring emits them —
+/// and the stable sort keeps that order among equal weights, so only the
+/// weight is sorted on; otherwise (u, v) is sorted on too. `threads` as in
+/// RadixSort. -0.0 and 0.0 rank as equal weights, as in GreedyEdgeOrder.
+void SortGreedyOrder(std::vector<IndexEdge>* edges, bool pair_sorted,
+                     int threads);
+
+/// The greedy pass over index edges offered in GreedyEdgeOrder: used
+/// vertices are marked in two byte arrays sized by the vertex counts, and
+/// only the matched pairs are turned back into ids. Every linkage driver
+/// and GreedyMaxWeightMatching end in it. Offering edges out of order is a
+/// programming error (SLIM_DCHECKed).
+class FlatGreedyMatcher {
+ public:
+  FlatGreedyMatcher(size_t lefts, size_t rights);
+
+  void Offer(const IndexEdge& edge);
+
+  /// The matching in selection order, edge (u, v) mapped to
+  /// (left_ids[u], right_ids[v]). Called once, after the last Offer().
+  Matching Take(std::span<const EntityId> left_ids,
+                std::span<const EntityId> right_ids);
+
+ private:
+  std::vector<uint8_t> taken_u_, taken_v_;  // 1: vertex already matched
+  std::vector<IndexEdge> pairs_;
+  IndexEdge last_;
+  bool any_ = false;
+};
+
+/// Incremental greedy matcher for id edge streams that already arrive in
+/// GreedyEdgeOrder and whose vertex universe is not known up front, so
+/// used vertices go in hash sets (the linkage drivers know their stores
+/// and use FlatGreedyMatcher). Offer() consumes one edge at a time;
+/// Take() finalises. Offering edges out of order is a programming error
+/// (SLIM_DCHECKed).
 class StreamingGreedyMatcher {
  public:
   void Offer(const WeightedEdge& edge);
@@ -50,9 +86,9 @@ class StreamingGreedyMatcher {
 
 /// Greedy maximum-sum matching: repeatedly selects the heaviest remaining
 /// edge whose endpoints are both unmatched. Deterministic: ties break on
-/// (u, v). O(E log E). Equivalent to sorting by GreedyEdgeOrder and
-/// streaming through StreamingGreedyMatcher (and implemented that way, so
-/// the in-memory and streamed paths cannot drift).
+/// (u, v). A thin adapter over the flat pass: the graph's ids are ranked
+/// densely, SortGreedyOrder orders the index edges (weight only when the
+/// graph is already in PairEdgeOrder) and FlatGreedyMatcher matches them.
 Matching GreedyMaxWeightMatching(const BipartiteGraph& graph);
 
 /// Exact maximum-weight bipartite matching via the Hungarian algorithm

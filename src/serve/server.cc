@@ -20,9 +20,14 @@ namespace {
 struct Connection {
   int fd = -1;
   std::string in;           // bytes received, not yet framed into lines
+  size_t scanned = 0;       // prefix of `in` known to hold no '\n'
   bool discarding = false;  // oversized request: drop until next '\n'
   bool subscribed = false;
 };
+
+// Bytes one recv() may deliver: a full-size INGEST line arrives in a
+// round or two instead of one per 4 KiB.
+constexpr size_t kRecvBytes = size_t{64} << 10;
 
 /// Blocking best-effort write of `line` + '\n'. Returns false when the peer
 /// is gone (the caller drops the connection). MSG_NOSIGNAL keeps a dead
@@ -84,6 +89,7 @@ Status RunServer(const ServeOptions& options, LinkageService* service,
   }
 
   std::vector<Connection> conns;
+  std::vector<char> buf(kRecvBytes);
   bool shutting_down = false;
   while (!shutting_down && (stop == nullptr || !stop->load())) {
     std::vector<pollfd> fds;
@@ -105,7 +111,7 @@ Status RunServer(const ServeOptions& options, LinkageService* service,
       const int client = ::accept(listen_fd, nullptr, nullptr);
       if (client >= 0) {
         if (WriteLine(client, service->HelloLine())) {
-          conns.push_back({client, {}, false, false});
+          conns.push_back({client, {}, 0, false, false});
         } else {
           ::close(client);
         }
@@ -117,23 +123,26 @@ Status RunServer(const ServeOptions& options, LinkageService* service,
     for (size_t i = 0; i + 1 < fds.size(); ++i) {
       Connection& c = conns[i];
       if (!(fds[i + 1].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-      char buf[4096];
-      const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
+      const ssize_t n = ::recv(c.fd, buf.data(), buf.size(), 0);
       if (n <= 0) {
         if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
         ::close(c.fd);
         c.fd = -1;  // reaped below
         continue;
       }
-      c.in.append(buf, static_cast<size_t>(n));
+      c.in.append(buf.data(), static_cast<size_t>(n));
 
       // Frame complete lines. Executing here — inside the poll loop, in
-      // fd order — is what makes a scripted session deterministic.
+      // fd order — is what makes a scripted session deterministic. Only
+      // the bytes past `scanned` are searched, lines are consumed by
+      // offset, and the consumed prefix is erased once.
+      size_t begin = 0;
       size_t newline;
-      while (c.fd >= 0 && (newline = c.in.find('\n')) != std::string::npos) {
-        std::string line = c.in.substr(0, newline);
-        c.in.erase(0, newline + 1);
-        if (!line.empty() && line.back() == '\r') line.pop_back();
+      while (c.fd >= 0 &&
+             (newline = c.in.find('\n', c.scanned)) != std::string::npos) {
+        std::string_view line(c.in.data() + begin, newline - begin);
+        begin = c.scanned = newline + 1;
+        if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
         if (c.discarding) {
           c.discarding = false;  // tail of an oversized request
           continue;
@@ -159,6 +168,8 @@ Status RunServer(const ServeOptions& options, LinkageService* service,
           break;
         }
       }
+      c.in.erase(0, begin);
+      c.scanned = c.in.size();
       if (c.fd >= 0 && !c.discarding && c.in.size() > kMaxProtocolLineBytes) {
         // Request exceeds the line cap with no newline yet: answer once,
         // then drop bytes until the terminator shows up.
@@ -169,9 +180,14 @@ Status RunServer(const ServeOptions& options, LinkageService* service,
           ::close(c.fd);
           c.fd = -1;
         } else {
-          c.in.clear();
           c.discarding = true;
         }
+      }
+      // While discarding, every pending byte belongs to the oversized
+      // request, so none needs keeping.
+      if (c.discarding) {
+        c.in.clear();
+        c.scanned = 0;
       }
     }
 

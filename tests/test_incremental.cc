@@ -137,9 +137,9 @@ INSTANTIATE_TEST_SUITE_P(
                       IncrementalCase{CandidateKind::kBruteForce, 8},
                       IncrementalCase{CandidateKind::kGrid, 1},
                       IncrementalCase{CandidateKind::kGrid, 8}),
-    [](const ::testing::TestParamInfo<IncrementalCase>& info) {
-      return std::string(CandidateKindName(info.param.candidates)) +
-             "_threads" + std::to_string(info.param.threads);
+    [](const ::testing::TestParamInfo<IncrementalCase>& test_case) {
+      return std::string(CandidateKindName(test_case.param.candidates)) +
+             "_threads" + std::to_string(test_case.param.threads);
     });
 
 // One-sided epochs (only A ingested, B empty) must behave like the batch

@@ -43,6 +43,19 @@ TEST(Report, ContainsHeadlineSections) {
   EXPECT_NE(md.find("links produced"), std::string::npos);
 }
 
+// A run that skipped the edge graph still reports its positive-score edge
+// count, from the seal's own record of it.
+TEST(Report, EdgeCountWithoutGraph) {
+  LinkageResult result = SampleResult();
+  ASSERT_GT(result.graph.num_edges(), 0u);
+  const std::string expected =
+      "positive-score candidate edges:** " +
+      std::to_string(result.graph.num_edges()) + "\n";
+  result.graph = BipartiteGraph();
+  const std::string md = RenderLinkageReport(result, ReportOptions());
+  EXPECT_NE(md.find(expected), std::string::npos) << md;
+}
+
 TEST(Report, QualitySectionOnlyWhenProvided) {
   ReportOptions opt;
   const std::string without = RenderLinkageReport(SampleResult(), opt);

@@ -1,7 +1,8 @@
 // Socket-level tests of the slim_serve daemon loop (serve/server.h): a
 // real AF_UNIX round trip against RunServer on a background thread —
-// handshake, request/reply framing, SUBSCRIBE event push, oversized-line
-// recovery, and graceful shutdown via both SHUTDOWN and the stop flag.
+// handshake, request/reply framing (byte-at-a-time and many lines per
+// write), SUBSCRIBE event push, oversized-line recovery, and graceful
+// shutdown via both SHUTDOWN and the stop flag.
 #include "serve/server.h"
 
 #include <sys/socket.h>
@@ -55,11 +56,13 @@ class LineClient {
 
   bool connected() const { return connected_; }
 
-  void Send(const std::string& line) {
-    std::string framed = line + "\n";
+  void Send(const std::string& line) { SendBytes(line + "\n"); }
+
+  /// Writes `bytes` as they are (no terminator added).
+  void SendBytes(const std::string& bytes) {
     size_t off = 0;
-    while (off < framed.size()) {
-      const ssize_t n = ::send(fd_, framed.data() + off, framed.size() - off,
+    while (off < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
                                MSG_NOSIGNAL);
       ASSERT_GT(n, 0) << "send failed: " << std::strerror(errno);
       off += static_cast<size_t>(n);
@@ -181,6 +184,41 @@ TEST(ServeDaemon, OversizedLineAnsweredAndRecovered) {
   client.Send(std::string(kMaxProtocolLineBytes + 100, 'A'));
   EXPECT_EQ(client.ReadLine().rfind("ERR too-long ", 0), 0u);
   EXPECT_EQ(client.Roundtrip("STATS").rfind("OK epoch=0 ", 0), 0u);
+}
+
+TEST(ServeDaemon, LineDeliveredOneByteAtATime) {
+  DaemonFixture daemon;
+  LineClient client(daemon.socket_path());
+  ASSERT_TRUE(client.connected());
+  client.ReadLine();  // HELLO
+
+  // Every byte its own write, paced so the daemon frames across many
+  // reads; the CRLF terminator is stripped as for a whole line.
+  const std::string line =
+      "INGEST A 1 37.7749 -122.4194 600 1 37.7755 -122.4180 1500\r\n";
+  for (const char c : line) {
+    client.SendBytes(std::string(1, c));
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_EQ(client.ReadLine().rfind("OK ingested=2 ", 0), 0u);
+  EXPECT_EQ(client.Roundtrip("STATS").rfind("OK epoch=0 ", 0), 0u);
+}
+
+TEST(ServeDaemon, SeveralLinesInOneWrite) {
+  DaemonFixture daemon;
+  LineClient client(daemon.socket_path());
+  ASSERT_TRUE(client.connected());
+  client.ReadLine();  // HELLO
+
+  // Three requests and the head of a fourth in one write: three replies
+  // in order, and the fourth completes with its next byte.
+  client.SendBytes(
+      "STATS\nFROBNICATE\nINGEST B 9 37.7749 -122.4194 620\nSTA");
+  EXPECT_EQ(client.ReadLine().rfind("OK epoch=0 ", 0), 0u);
+  EXPECT_EQ(client.ReadLine().rfind("ERR bad-command ", 0), 0u);
+  EXPECT_EQ(client.ReadLine().rfind("OK ingested=1 ", 0), 0u);
+  client.SendBytes("TS\n");
+  EXPECT_EQ(client.ReadLine().rfind("OK epoch=0 ", 0), 0u);
 }
 
 TEST(ServeDaemon, ShutdownCommandStopsTheServer) {

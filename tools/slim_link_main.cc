@@ -94,14 +94,17 @@ void Usage() {
       "                        read-only (SCTX; core/sctx.h). An existing\n"
       "                        file is mapped directly without re-interning\n"
       "                        the datasets\n"
-      "  --no_graph            sharded driver: skip materialising the edge\n"
-      "                        graph and stream score-ordered edges into\n"
-      "                        the greedy matcher (bounded memory; links\n"
-      "                        are bit-identical, the bench JSON just\n"
-      "                        lacks graph-derived fields)\n"
+      "  --no_graph            run the sharded driver with its edges\n"
+      "                        streaming from the external sort's\n"
+      "                        score-ordered merge into the greedy matcher\n"
+      "                        (bounded memory). The edge graph is never\n"
+      "                        built, with or without this flag; links\n"
+      "                        are bit-identical either way\n"
       "  --spill_run_mb M      sharded driver: external-sort run-buffer\n"
       "                        budget in MB (default 64)\n"
-      "  --report PATH         also write a markdown linkage report\n"
+      "  --report PATH         also write a markdown linkage report (links,\n"
+      "                        matching, positive-score edge count, stop\n"
+      "                        threshold, timings); needs no edge graph\n"
       "  --bench_json PATH     also write per-stage wall times, distance-\n"
       "                        cache efficacy, peak RSS, and shard\n"
       "                        provenance as JSON (schema\n"
@@ -181,19 +184,23 @@ int main(int argc, char** argv) {
   config.shard_memory_budget_bytes =
       static_cast<uint64_t>(budget_mb) * (uint64_t{1} << 20);
   config.sctx_path = flags.GetString("sctx", "");
-  config.keep_graph = !flags.GetBool("no_graph", false);
+  // Nothing here reads the edge graph (the report takes the seal's edge
+  // count), so no driver builds it.
+  config.keep_graph = false;
+  const bool no_graph = flags.GetBool("no_graph", false);
   const long long spill_run_mb = flags.GetInt("spill_run_mb", 64);
   if (spill_run_mb <= 0) {
     slim::tools::Flags::Fail("--spill_run_mb must be > 0");
   }
   config.spill_run_bytes =
       static_cast<uint64_t>(spill_run_mb) * (uint64_t{1} << 20);
-  // Any sharding/scale knob selects the sharded driver; otherwise the
-  // monolithic path runs (the outputs are bit-identical either way).
+  // Any sharding/scale knob, or --no_graph, selects the sharded driver;
+  // otherwise the monolithic path runs (the outputs are bit-identical
+  // either way).
   const bool use_sharded =
       config.shards > 0 || config.left_shards > 1 ||
       config.shard_memory_budget_bytes > 0 || !config.sctx_path.empty() ||
-      !config.keep_graph;
+      no_graph;
 
   const std::string thr = flags.GetString("threshold", "gmm");
   if (thr == "gmm") {

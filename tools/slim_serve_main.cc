@@ -227,6 +227,8 @@ int main(int argc, char** argv) {
     slim::tools::Flags::Fail("unknown --threshold: " + thr);
   }
   config.threads = static_cast<int>(flags.GetInt("threads", 0));
+  // No reply reads the edge graph, so epochs never build it.
+  config.keep_graph = false;
 
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
